@@ -234,7 +234,9 @@ let fig_cmd =
         Po_experiments.Common.checkpoint =
           (if no_checkpoint then None
            else
-             Some { Po_experiments.Common.dir = checkpoint_dir; resume }) }
+             Some
+               (Po_experiments.Common.checkpoint ~dir:checkpoint_dir ~resume))
+      }
     in
     match Po_experiments.Registry.find id with
     | None ->

@@ -179,11 +179,11 @@ let tcp_maxmin ?(params = Common.default_params) () =
         report.Po_netsim.Validate.mean_relative_error
         report.Po_netsim.Validate.utilization }
 
-let all ?params () =
-  Common.with_figure_scope "claims" (fun () ->
-      [ theorem4 ?params (); theorem5 ?params (); lemma4 ?params ();
-        theorem6 ?params (); corollary1 ?params (); regime_ordering ?params ();
-        tcp_maxmin ?params () ])
+let all ?(params = Common.default_params) () =
+  Common.with_figure_scope "claims" params (fun params ->
+      [ theorem4 ~params (); theorem5 ~params (); lemma4 ~params ();
+        theorem6 ~params (); corollary1 ~params (); regime_ordering ~params ();
+        tcp_maxmin ~params () ])
 
 let render checks =
   let buf = Buffer.create 512 in

@@ -6,7 +6,20 @@ type figure = {
   notes : string list;
 }
 
-type checkpoint = { dir : string; resume : bool }
+(* The figure a checkpointed sweep belongs to: its id, a per-figure
+   sweep counter (figures call their sweeps in a fixed order, so the
+   counter is a stable coordinate), and the journal files the figure has
+   touched (removed on success).  Bound by {!with_figure_scope}; one
+   scope is only ever used by the figure that created it. *)
+type scope = {
+  figure : string;
+  mutable sweeps : int;
+  mutable journals : string list;
+}
+
+type checkpoint = { dir : string; resume : bool; scope : scope option }
+
+let checkpoint ~dir ~resume = { dir; resume; scope = None }
 
 type params = {
   n_cps : int;
@@ -40,25 +53,26 @@ let quick_params =
    them so the process never exits with domains mid-flight. *)
 let cached_pool : (int * Po_par.Pool.t) option ref = ref None
 
+let pool_mutex = Mutex.create ()
+
 let shutdown_pool () =
-  match !cached_pool with
-  | None -> ()
-  | Some (_, pool) ->
-      cached_pool := None;
-      Po_par.Pool.shutdown pool
+  Mutex.protect pool_mutex (fun () ->
+      Option.iter (fun (_, pool) -> Po_par.Pool.shutdown pool) !cached_pool;
+      cached_pool := None)
 
 let () = at_exit shutdown_pool
 
 let pool params =
   if params.jobs <= 1 then None
   else
-    match !cached_pool with
-    | Some (jobs, pool) when jobs = params.jobs -> Some pool
-    | _ ->
-        shutdown_pool ();
-        let pool = Po_par.Pool.create ~domains:params.jobs () in
-        cached_pool := Some (params.jobs, pool);
-        Some pool
+    Mutex.protect pool_mutex (fun () ->
+        match !cached_pool with
+        | Some (jobs, pool) when jobs = params.jobs -> Some pool
+        | cached ->
+            Option.iter (fun (_, pool) -> Po_par.Pool.shutdown pool) cached;
+            let pool = Po_par.Pool.create ~domains:params.jobs () in
+            cached_pool := Some (params.jobs, pool);
+            Some pool)
 
 let sanitize name =
   String.map
@@ -80,31 +94,24 @@ let sanitize name =
 (* under any worker count resumes bit-identically under any other.    *)
 (* ------------------------------------------------------------------ *)
 
-(* The figure currently generating: its id, a per-figure sweep counter
-   (figures call their sweeps in a fixed order, so the counter is a
-   stable coordinate), and the journal files the figure has touched
-   (removed on success).  Set by {!with_figure_scope}. *)
-type scope_state = {
-  figure : string;
-  sweep_counter : int ref;
-  journals : string list ref;
-}
-
-let scope : scope_state option ref = ref None
-
-let with_figure_scope figure f =
-  let st = { figure; sweep_counter = ref 0; journals = ref [] } in
-  scope := Some st;
-  Fun.protect
-    ~finally:(fun () -> scope := None)
-    (fun () ->
-      let result =
-        Po_obs.Trace.with_span ~args:[ ("figure", figure) ] ("figure:" ^ figure)
-          f
-      in
-      (* Success: the figure's journals have served their purpose. *)
-      List.iter Po_report.Writer.remove_if_exists !(st.journals);
-      result)
+let with_figure_scope figure params f =
+  let scope, params =
+    match params.checkpoint with
+    | None -> (None, params)
+    | Some cp ->
+        let scope = { figure; sweeps = 0; journals = [] } in
+        ( Some scope,
+          { params with checkpoint = Some { cp with scope = Some scope } } )
+  in
+  let result =
+    Po_obs.Trace.with_span ~args:[ ("figure", figure) ] ("figure:" ^ figure)
+      (fun () -> f params)
+  in
+  (* Success: the figure's journals have served their purpose. *)
+  Option.iter
+    (fun scope -> List.iter Po_report.Writer.remove_if_exists scope.journals)
+    scope;
+  result
 
 let hex_encode s =
   let b = Buffer.create (2 * String.length s) in
@@ -170,10 +177,8 @@ let append_chunk path ci r =
   Po_obs.Metrics.incr m_journalled;
   Po_obs.Trace.instant ~args:[ ("chunk", string_of_int ci) ] "checkpoint";
   let line = journal_line ci r in
-  Mutex.lock journal_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock journal_mutex)
-    (fun () -> Po_report.Writer.append_line ~path line)
+  Mutex.protect journal_mutex (fun () ->
+      Po_report.Writer.append_line ~path line)
 
 (* Journal load with torn-tail truncation: appends are atomic up to a
    crash, so only a {e suffix} of the file can be damaged.  Lines are
@@ -225,21 +230,21 @@ let journal_path params ~figure ~sweep ~n ~chunk_size dir =
   Filename.concat dir
     (Printf.sprintf "%s__sweep%d__%08x.journal" (sanitize figure) sweep hash)
 
-(* The [cached]/[on_chunk] hooks for the next sweep of the current
-   figure, or [(None, None)] when checkpointing is off or no figure
-   scope is active (library callers outside the registry). *)
+(* The [cached]/[on_chunk] hooks for the next sweep of the figure whose
+   scope [params] carries, or [(None, None)] when checkpointing is off or
+   no figure scope is bound (library callers outside the registry). *)
 let journal_hooks params ~n ~chunk_size =
-  match (params.checkpoint, !scope) with
-  | Some cp, Some st ->
-      let sweep = !(st.sweep_counter) in
-      incr st.sweep_counter;
+  match params.checkpoint with
+  | Some { dir; resume; scope = Some scope } ->
+      let sweep = scope.sweeps in
+      scope.sweeps <- sweep + 1;
       let path =
-        journal_path params ~figure:st.figure ~sweep ~n ~chunk_size cp.dir
+        journal_path params ~figure:scope.figure ~sweep ~n ~chunk_size dir
       in
-      st.journals := path :: !(st.journals);
-      if not cp.resume then Po_report.Writer.remove_if_exists path;
+      scope.journals <- path :: scope.journals;
+      if not resume then Po_report.Writer.remove_if_exists path;
       let cached =
-        if cp.resume then
+        if resume then
           Option.map
             (fun tbl ->
               Po_obs.Metrics.incr m_replayed;
@@ -248,7 +253,7 @@ let journal_hooks params ~n ~chunk_size =
         else None
       in
       (cached, Some (fun ci r -> append_chunk path ci r))
-  | _ -> (None, None)
+  | Some { scope = None; _ } | None -> (None, None)
 
 let default_chunk = 16
 

@@ -9,11 +9,11 @@ type entry = {
 let guarded entry =
   { entry with
     generate =
-      (fun ?params () ->
-        Common.with_figure_scope entry.id (fun () ->
+      (fun ?(params = Common.default_params) () ->
+        Common.with_figure_scope entry.id params (fun params ->
             Po_guard.Po_error.with_context
               [ ("figure", entry.id) ]
-              (fun () -> entry.generate ?params ()))) }
+              (fun () -> entry.generate ~params ()))) }
 
 let entries =
   [ { id = "fig2"; description = "demand family d(omega) for various beta";

@@ -20,16 +20,13 @@ let set_handler f = handler := f
 
 let emit msg =
   Atomic.incr counter;
-  Mutex.lock retained_mutex;
-  retained := msg :: !retained;
-  Mutex.unlock retained_mutex;
+  Mutex.protect retained_mutex (fun () -> retained := msg :: !retained);
   !handler msg
 
 let count () = Atomic.get counter
 
 let drain () =
-  Mutex.lock retained_mutex;
-  let msgs = List.rev !retained in
-  retained := [];
-  Mutex.unlock retained_mutex;
-  msgs
+  Mutex.protect retained_mutex (fun () ->
+      let msgs = List.rev !retained in
+      retained := [];
+      msgs)

@@ -208,10 +208,10 @@ let with_shards f =
   Mutex.lock shards_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock shards_mutex) (fun () -> f !shards)
 
-(* Snapshots are only meaningful at quiescence (after the pool has
-   drained); a snapshot raced by live updates reads torn per-shard
-   state.  Every caller in the repo snapshots after the figure pipeline
-   has returned. *)
+(* Snapshots are only exact at quiescence (after the pool has drained);
+   a snapshot raced by live updates reads torn per-shard state.  Every
+   caller in the repo snapshots after the figure pipeline has returned,
+   except the daemon's stats query, which answers a live reading. *)
 let snapshot () =
   locked (fun () ->
       with_shards (fun shards ->

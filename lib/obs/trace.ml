@@ -48,9 +48,7 @@ let new_shard () =
     { tid = Atomic.fetch_and_add next_tid 1; next_id = 0; stack = [];
       events = [] }
   in
-  Mutex.lock shards_mutex;
-  shards := sh :: !shards;
-  Mutex.unlock shards_mutex;
+  Mutex.protect shards_mutex (fun () -> shards := sh :: !shards);
   sh
 
 let shard_key = Domain.DLS.new_key new_shard

@@ -3,9 +3,10 @@
 
    Everything here is a pure function of the query (plus the optional
    budget, which can only abort a computation, never change its value):
-   the daemon batches calls to [eval] onto the domain pool, the CLI
-   calls it once, and both produce bit-identical JSON for the same
-   query.  The scenario construction deliberately mirrors
+   the daemon batches calls to [eval] for every query kind onto the
+   domain pool, the CLI calls it once, and both produce bit-identical
+   JSON for the same query ([stats] aside: it reads live counters).
+   The scenario construction deliberately mirrors
    [Po_experiments.Common.ensemble]: the paper ensemble drawn at the
    request's seed, with capacity expressed as a fraction of the
    population's saturation capacity. *)
@@ -150,30 +151,23 @@ let figure_json (fg : Po_experiments.Common.figure) =
 (* Dispatch                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Figure generation runs through [Common.with_figure_scope], whose
-   sweep-scope state is a process-wide ref — safe from exactly one
-   domain at a time.  The daemon therefore evaluates [Fig_point] (and
-   the trivially cheap [Stats]) serially in the dispatcher, never
-   inside a parallel batch. *)
-let parallel_safe = function
-  | Request.Fig_point _ | Request.Stats -> false
-  | Request.Ping | Request.Equilibrium _ | Request.Surplus _
-  | Request.Regimes _ | Request.Welfare _ ->
-      true
-
 let raise_po (e : Po_guard.Po_error.t) = raise (Po_guard.Po_error.Error e)
 
-(* The parallel-safe dispatch: everything here touches only solve-local
-   state, so pool workers may run it concurrently.  [Stats] and
-   [Fig_point] are deliberately NOT handled — the daemon routes them to
-   the serial path, and keeping them out of this function makes that
-   invariant structural: the closure a pool worker runs cannot reach
-   the figure layer's process-wide sweep scope even in its static call
-   graph (polint R7 verifies exactly that). *)
-let eval_safe_exn ?budget query =
+(* No query kind writes shared state outside a lock — a figure's
+   checkpoint scope travels in its params, never in a global — so pool
+   workers may run this on any query concurrently (polint R7 checks it
+   from the daemon's [parallel_map] closure). *)
+let eval_exn ?budget query =
   Po_obs.Metrics.incr m_evals;
   match query with
   | Request.Ping -> Json.Obj [ ("pong", Json.Bool true) ]
+  | Request.Stats ->
+      Json.Obj
+        [ ("counters",
+           Json.Obj
+             (List.map
+                (fun (name, v) -> (name, Json.Number (float_of_int v)))
+                (Po_obs.Metrics.counters ()))) ]
   | Request.Equilibrium sc -> (
       Po_sup.Budget.check_opt budget;
       let cps, nu = scenario_market sc in
@@ -198,28 +192,7 @@ let eval_safe_exn ?budget query =
       regimes_json (regimes ?budget ~sc ~po_share ~levels ~points ())
   | Request.Welfare { sc; po_share; levels; points } ->
       welfare_json (welfare ?budget ~sc ~po_share ~levels ~points ())
-  | Request.Stats | Request.Fig_point _ ->
-      (* Unreachable from the daemon (the dispatcher routes these
-         serially through [eval]); typed, not an assert, so a misuse
-         still answers the wire. *)
-      Po_guard.Po_error.fail
-        (Po_guard.Po_error.Invalid_scenario
-           (Request.query_name query ^ " is not parallel-safe"))
-
-(* The full dispatch, for the serial paths (dispatcher-inline and the
-   one-shot CLI). *)
-let eval_exn ?budget query =
-  match query with
-  | Request.Stats ->
-      Po_obs.Metrics.incr m_evals;
-      Json.Obj
-        [ ("counters",
-           Json.Obj
-             (List.map
-                (fun (name, v) -> (name, Json.Number (float_of_int v)))
-                (Po_obs.Metrics.counters ()))) ]
   | Request.Fig_point { fig; n_cps; seed; sweep_points } -> (
-      Po_obs.Metrics.incr m_evals;
       Po_sup.Budget.check_opt budget;
       match Po_experiments.Registry.find fig with
       | None ->
@@ -227,22 +200,21 @@ let eval_exn ?budget query =
             (Po_guard.Po_error.Invalid_scenario
                (Printf.sprintf "unknown figure id %S" fig))
       | Some entry ->
+          (* [jobs = 1]: a figure running inside a pool worker must not
+             re-enter the pool. *)
           let params =
             { Po_experiments.Common.n_cps; seed; sweep_points; jobs = 1;
               checkpoint = None;
               sup = Po_sup.Supervise.v ?budget () }
           in
           figure_json (entry.Po_experiments.Registry.generate ~params ()))
-  | ( Request.Ping | Request.Equilibrium _ | Request.Surplus _
-    | Request.Regimes _ | Request.Welfare _ ) as q ->
-      eval_safe_exn ?budget q
 
-let wrap dispatch ?budget query =
+let eval ?budget query =
   match
     Po_guard.Po_error.capture (fun () ->
         Po_guard.Po_error.with_context
           [ ("query", Request.query_name query) ]
-          (fun () -> dispatch ?budget query))
+          (fun () -> eval_exn ?budget query))
   with
   | Ok json -> Ok json
   | Error e -> Error (Request.error_of_po e)
@@ -255,7 +227,3 @@ let wrap dispatch ?budget query =
         (Request.error
            ~context:[ ("query", Request.query_name query) ]
            "internal_error" (Printexc.to_string exn))
-
-let eval ?budget query = wrap eval_exn ?budget query
-
-let eval_parallel ?budget query = wrap eval_safe_exn ?budget query

@@ -41,24 +41,12 @@ val welfare :
     pool-invariant).  The daemon always omits it: a solve running inside
     a pool worker must not re-enter the pool. *)
 
-val parallel_safe : Request.query -> bool
-(** Whether the query may be evaluated inside a parallel batch on the
-    domain pool.  Figure generation mutates the process-wide sweep
-    scope, so [Fig_point] (and the trivially cheap [Stats]) must run
-    serially in the dispatcher. *)
-
 val eval :
   ?budget:Po_sup.Budget.t -> Request.query -> (Po_obs.Json.t, Request.error)
   result
-(** Evaluate one query.  Typed solver/supervision failures come back as
-    structured {!Request.error}s carrying a [("query", name)] context
-    frame — never an exception, never a dropped response. *)
-
-val eval_parallel :
-  ?budget:Po_sup.Budget.t -> Request.query -> (Po_obs.Json.t, Request.error)
-  result
-(** {!eval} restricted to the {!parallel_safe} queries — the dispatch a
-    pool worker runs.  Its static call graph cannot reach the figure
-    layer's process-wide sweep scope (polint R7 checks this), which is
-    what makes batching on the domain pool sound.  A non-parallel-safe
-    query answers a typed [invalid_scenario] error. *)
+(** Evaluate one query of any kind.  Typed solver/supervision failures
+    come back as structured {!Request.error}s carrying a
+    [("query", name)] context frame — never an exception, never a
+    dropped response.  Safe to run concurrently on the domain pool:
+    [Fig_point] generates its figure serially ([jobs = 1]) with no
+    checkpoint, and no query touches process-global figure state. *)

@@ -9,10 +9,9 @@
      and blocks on the job's reply cell — the protocol is synchronous
      per connection, concurrency comes from having many connections;
    - one {e dispatcher} systhread drains the queue in batches of up to
-     [batch_max], answers repeats from the LRU cache, and evaluates the
-     misses — parallel-safe queries fan out over the domain pool,
-     figure queries run serially (the figure sweep scope is a
-     process-wide ref, see [Engine.parallel_safe]).
+     [batch_max], answers repeats from the LRU cache, and fans every
+     miss, whatever its query kind, out over the domain pool through
+     [Engine.eval].
 
    The cache and metrics are thread-safe; the job queue and each job's
    reply cell use their own mutex/condition pairs.  Signal handlers
@@ -154,10 +153,7 @@ let finish t (job, key) resp =
   Metrics.observe m_latency (Clock.now_s () -. job.t0);
   fulfill job line
 
-(* The pool-worker dispatch goes through [Engine.eval_parallel], whose
-   static call graph excludes the figure layer's shared sweep scope —
-   [process] only ever feeds it queries [Engine.parallel_safe] accepted. *)
-let eval_one (query, budget) = Engine.eval_parallel ?budget query
+let eval_one (job, _) = Engine.eval ?budget:job.budget job.req.Request.query
 
 let process t batch =
   (* Cache pass: answer repeats with the stored bytes.  Two identical
@@ -180,32 +176,20 @@ let process t batch =
                 Some (job, Some key))
         | None -> Some (job, None))
       batch
-  in
-  let par, ser =
-    List.partition
-      (fun (job, _) -> Engine.parallel_safe job.req.Request.query)
-      misses
-  in
-  let par = Array.of_list par in
-  let inputs =
-    Array.map (fun (job, _) -> (job.req.Request.query, job.budget)) par
+    |> Array.of_list
   in
   let results =
-    if Array.length inputs > 1 && Po_par.Pool.domains t.pool > 1 then
-      match Po_par.Pool.parallel_map t.pool eval_one inputs with
+    if Array.length misses > 1 && Po_par.Pool.domains t.pool > 1 then
+      match Po_par.Pool.parallel_map t.pool eval_one misses with
       | results -> results
       | exception Po_guard.Po_error.Error e ->
           (* [Engine.eval] never raises, so this is a pool-level failure
              (e.g. Worker_crash on a dying domain): answer the whole
              batch with the typed error rather than dropping replies. *)
-          Array.map (fun _ -> Error (Request.error_of_po e)) inputs
-    else Array.map eval_one inputs
+          Array.map (fun _ -> Error (Request.error_of_po e)) misses
+    else Array.map eval_one misses
   in
-  Array.iteri (fun i resp -> finish t par.(i) resp) results;
-  List.iter
-    (fun (job, key) ->
-      finish t (job, key) (Engine.eval ?budget:job.budget job.req.Request.query))
-    ser
+  Array.iteri (fun i resp -> finish t misses.(i) resp) results
 
 let rec dispatch_loop t =
   let batch =

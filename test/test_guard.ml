@@ -283,21 +283,22 @@ let test_checkpoint_resume_jobs_invariant () =
   with_disarm (fun () ->
       let dir = fresh_dir "po_guard_ck" in
       let xs = Array.init 33 float_of_int in
-      let ck resume = Some { Common.dir; resume } in
+      let ck resume = Some (Common.checkpoint ~dir ~resume) in
       let clean =
-        Common.with_figure_scope "guardck" (fun () ->
-            Common.sweep_chained ~chunk_size:4
-              { Common.quick_params with checkpoint = None }
-              ~step:chained_step xs)
+        Common.with_figure_scope "guardck"
+          { Common.quick_params with checkpoint = None }
+          (fun params ->
+            Common.sweep_chained ~chunk_size:4 params ~step:chained_step xs)
       in
       (* Interrupted run on 2 domains: chunk 5 crashes; chunks claimed
          before it complete and journal. *)
       Faultinject.arm (spec ~worker:5 ());
       (match
          Po_error.capture (fun () ->
-             Common.with_figure_scope "guardck" (fun () ->
-                 Common.sweep_chained ~chunk_size:4
-                   { Common.quick_params with jobs = 2; checkpoint = ck false }
+             Common.with_figure_scope "guardck"
+               { Common.quick_params with jobs = 2; checkpoint = ck false }
+               (fun params ->
+                 Common.sweep_chained ~chunk_size:4 params
                    ~step:chained_step xs))
        with
       | Error { kind = Po_error.Worker_crash { chunk = 5; _ }; _ } -> ()
@@ -316,10 +317,10 @@ let test_checkpoint_resume_jobs_invariant () =
         chained_step prev x
       in
       let resumed =
-        Common.with_figure_scope "guardck" (fun () ->
-            Common.sweep_chained ~chunk_size:4
-              { Common.quick_params with jobs = 1; checkpoint = ck true }
-              ~step:counted xs)
+        Common.with_figure_scope "guardck"
+          { Common.quick_params with jobs = 1; checkpoint = ck true }
+          (fun params ->
+            Common.sweep_chained ~chunk_size:4 params ~step:counted xs)
       in
       check_bits "resumed sweep bit-identical" clean resumed;
       Alcotest.(check bool)
@@ -337,12 +338,12 @@ let test_corrupt_journal_recomputes () =
       let dir = fresh_dir "po_guard_ck_corrupt" in
       let xs = Array.init 12 float_of_int in
       let params resume =
-        { Common.quick_params with checkpoint = Some { Common.dir; resume } }
+        { Common.quick_params with
+          checkpoint = Some (Common.checkpoint ~dir ~resume) }
       in
       let clean =
-        Common.with_figure_scope "guardbad" (fun () ->
-            Common.sweep_chained ~chunk_size:4 (params false)
-              ~step:chained_step xs)
+        Common.with_figure_scope "guardbad" (params false) (fun params ->
+            Common.sweep_chained ~chunk_size:4 params ~step:chained_step xs)
       in
       (* Crash on chunk 1 to leave a real journal (chunk 0 completed),
          then vandalise its tail: a garbage line, a v2 line with a wrong
@@ -353,8 +354,8 @@ let test_corrupt_journal_recomputes () =
       Faultinject.arm (spec ~worker:1 ());
       (match
          Po_error.capture (fun () ->
-             Common.with_figure_scope "guardbad" (fun () ->
-                 Common.sweep_chained ~chunk_size:4 (params false)
+             Common.with_figure_scope "guardbad" (params false) (fun params ->
+                 Common.sweep_chained ~chunk_size:4 params
                    ~step:chained_step xs))
        with
       | Error { kind = Po_error.Worker_crash { chunk = 1; _ }; _ } -> ()
@@ -386,8 +387,8 @@ let test_corrupt_journal_recomputes () =
       Faultinject.arm (spec ~worker:2 ());
       (match
          Po_error.capture (fun () ->
-             Common.with_figure_scope "guardbad" (fun () ->
-                 Common.sweep_chained ~chunk_size:4 (params true)
+             Common.with_figure_scope "guardbad" (params true) (fun params ->
+                 Common.sweep_chained ~chunk_size:4 params
                    ~step:chained_step xs))
        with
       | Error { kind = Po_error.Worker_crash { chunk = 2; _ }; _ } -> ()
@@ -416,12 +417,74 @@ let test_corrupt_journal_recomputes () =
       Alcotest.(check bool) "no garbage survives the rewrite" false
         contains_garbage;
       let resumed =
-        Common.with_figure_scope "guardbad" (fun () ->
-            Common.sweep_chained ~chunk_size:4 (params true)
-              ~step:chained_step xs)
+        Common.with_figure_scope "guardbad" (params true) (fun params ->
+            Common.sweep_chained ~chunk_size:4 params ~step:chained_step xs)
       in
       check_bits "corrupt journal entries fall back to recompute" clean
         resumed)
+
+let journals_in dir =
+  if Sys.file_exists dir then
+    List.filter
+      (fun f -> Filename.check_suffix f ".journal")
+      (Array.to_list (Sys.readdir dir))
+  else []
+
+let test_no_scope_no_journal () =
+  (* Checkpointing set, but no figure scope bound: the sweep has no
+     figure to journal under, so it writes nothing. *)
+  let dir = fresh_dir "po_guard_ck_unscoped" in
+  let params =
+    { Common.quick_params with
+      checkpoint = Some (Common.checkpoint ~dir ~resume:false) }
+  in
+  let xs = Array.init 12 float_of_int in
+  ignore (Common.sweep_chained ~chunk_size:4 params ~step:chained_step xs);
+  Alcotest.(check (list string)) "no journal outside a figure scope" []
+    (journals_in dir)
+
+let test_concurrent_figure_scopes () =
+  (* Two checkpointed figures on two domains at once: each scope counts
+     its own sweeps and journals under its own figure id, and each
+     removes exactly its own journals on success. *)
+  let dir = fresh_dir "po_guard_ck_concurrent" in
+  let params =
+    { Common.quick_params with
+      checkpoint = Some (Common.checkpoint ~dir ~resume:false) }
+  in
+  let xs = Array.init 12 float_of_int in
+  let figure id =
+    Common.with_figure_scope id params (fun params ->
+        let a =
+          Common.sweep_chained ~chunk_size:4 params ~step:chained_step xs
+        in
+        let b = Common.sweep_par ~chunk_size:4 params sqrt xs in
+        let own =
+          List.sort String.compare
+            (List.filter (has_prefix (id ^ "__")) (journals_in dir))
+        in
+        (a, b, own))
+  in
+  let pool = Po_par.Pool.create ~domains:2 () in
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Po_par.Pool.shutdown pool)
+      (fun () -> Po_par.Pool.parallel_map pool figure [| "figa"; "figb" |])
+  in
+  Array.iteri
+    (fun i (a, b, own) ->
+      let id = [| "figa"; "figb" |].(i) in
+      check_bits (id ^ " chained sweep")
+        (Common.sweep_chained ~chunk_size:4 Common.quick_params
+           ~step:chained_step xs)
+        a;
+      check_bits (id ^ " plain sweep") (Array.map sqrt xs) b;
+      Alcotest.(check (list string))
+        (id ^ " journals its own two sweeps")
+        [ id ^ "__sweep0__"; id ^ "__sweep1__" ]
+        (List.map (fun f -> String.sub f 0 (String.length id + 10)) own))
+    results;
+  Alcotest.(check (list string)) "both scopes cleaned up" [] (journals_in dir)
 
 (* ------------------------------------------------------------------ *)
 
@@ -442,5 +505,7 @@ let () =
       ( "checkpoint",
         [ quick "resume is jobs-invariant"
             test_checkpoint_resume_jobs_invariant;
-          quick "corrupt journal recomputes" test_corrupt_journal_recomputes
-        ] ) ]
+          quick "corrupt journal recomputes" test_corrupt_journal_recomputes;
+          quick "no journal outside a figure scope" test_no_scope_no_journal;
+          quick "concurrent figure scopes" test_concurrent_figure_scopes ] )
+    ]

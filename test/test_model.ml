@@ -226,25 +226,6 @@ let test_maxmin_satisfies_axioms () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
-let test_alphafair_satisfies_axioms () =
-  List.iter
-    (fun alpha ->
-      match
-        Alloc.check_all
-          (Alphafair.mechanism ~weights:[| 1.; 2.; 0.5 |] ~alpha ())
-          ~nus:audit_nus (three_cp ())
-      with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e)
-    [ 0.5; 1.; 2.; Float.infinity ]
-
-let test_priority_satisfies_axioms () =
-  match
-    Alloc.check_all (Priority.mechanism ()) ~nus:audit_nus (three_cp ())
-  with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
-
 let test_axiom_checker_catches_violations () =
   (* A mechanism that over-allocates violates Axiom 1; one that wastes
      capacity violates Axiom 2. *)
@@ -291,20 +272,6 @@ let test_axiom3_checker_catches_nonmonotone () =
   match Alloc.check_axiom3 perverse ~nus:[| 1.; 2. |] (three_cp ()) with
   | Ok () -> Alcotest.fail "axiom 3 violation not caught"
   | Error _ -> ()
-
-let test_priority_order_matters () =
-  let cps = three_cp () in
-  let forward = Priority.solve ~order:[| 0; 1; 2 |] ~nu:1. cps in
-  let backward = Priority.solve ~order:[| 2; 1; 0 |] ~nu:1. cps in
-  (* Google (alpha=1, theta_hat=1) fits within nu=1 fully when first. *)
-  check_float "google full when first" 1. forward.Equilibrium.theta.(0);
-  Alcotest.(check bool) "google throttled when last" true
-    (backward.Equilibrium.theta.(0) < 1.)
-
-let test_priority_rejects_bad_order () =
-  Alcotest.check_raises "duplicate order"
-    (Invalid_argument "Priority: duplicate order index") (fun () ->
-      ignore (Priority.solve ~order:[| 0; 0; 1 |] ~nu:1. (three_cp ())))
 
 let prop_maxmin_axiom2_random =
   QCheck.Test.make ~name:"max-min work conservation on random ensembles"
@@ -440,12 +407,8 @@ let () =
           prop prop_equilibrium_unique_from_any_ensemble ] );
       ( "alloc",
         [ quick "max-min axioms" test_maxmin_satisfies_axioms;
-          quick "alpha-fair axioms" test_alphafair_satisfies_axioms;
-          quick "priority axioms" test_priority_satisfies_axioms;
           quick "checker catches violations" test_axiom_checker_catches_violations;
           quick "checker catches non-monotone" test_axiom3_checker_catches_nonmonotone;
-          quick "priority order matters" test_priority_order_matters;
-          quick "priority rejects bad order" test_priority_rejects_bad_order;
           prop prop_maxmin_axiom2_random ] );
       ( "maxmin",
         [ quick "cap semantics" test_maxmin_cap_semantics;

@@ -2,8 +2,8 @@
    and strict parsing, the extended params hash, the LRU solve cache,
    line framing (including oversized payloads), engine determinism and
    cache bit-identity, deadline errors, and an end-to-end daemon
-   exercise over a real Unix-domain socket — admission control and
-   graceful shutdown included. *)
+   exercise over a real Unix-domain socket — admission control, figure
+   points on the pool and graceful shutdown included. *)
 
 open Po_serve
 
@@ -511,6 +511,57 @@ let test_server_overload_sheds () =
       Alcotest.(check int) "every request got exactly one response" n
         (List.length overloaded + List.length answered))
 
+let test_server_fig_point_on_pool () =
+  (* Every query kind shares one batch on the pool: a ping parks the
+     dispatcher in its hold while a fig_point, an equilibrium and a
+     stats query queue up behind it, so the three are drained and
+     evaluated together by [Pool.parallel_map] on 2 domains. *)
+  let socket_path = tmp_name "po_serve_fig" in
+  let server =
+    Server.start
+      { Server.default_config with
+        Server.socket_path; domains = 2; hold_s = 0.4 }
+  in
+  let fig =
+    {|{"query":"fig_point","params":{"fig":"fig4","n_cps":30,"sweep_points":5}}|}
+  in
+  let equilibrium = {|{"query":"equilibrium","params":{"n_cps":30}}|} in
+  let lines =
+    [| {|{"query":"ping"}|}; fig; equilibrium; {|{"query":"stats"}|} |]
+  in
+  let replies = Array.make (Array.length lines) "" in
+  let ask i () =
+    let fd, reader = connect socket_path in
+    Fun.protect
+      ~finally:(fun () ->
+        try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
+      (fun () -> replies.(i) <- send_recv fd reader lines.(i))
+  in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let first = Thread.create (ask 0) () in
+      Thread.delay 0.1;
+      let rest = List.init 3 (fun i -> Thread.create (ask (i + 1)) ()) in
+      Thread.join first;
+      List.iter Thread.join rest);
+  Array.iteri
+    (fun i reply ->
+      Alcotest.(check bool) ("ok: " ^ lines.(i)) true
+        (match Request.response_of_line reply with
+        | Ok (Ok _) -> true
+        | _ -> false))
+    replies;
+  let one_shot line =
+    match Request.of_line line with
+    | Ok req -> Request.response_line (Engine.eval req.Request.query)
+    | Error e -> Alcotest.fail e.Request.message
+  in
+  Alcotest.(check string) "fig_point matches Engine.eval" (one_shot fig)
+    replies.(1);
+  Alcotest.(check string) "equilibrium matches Engine.eval"
+    (one_shot equilibrium) replies.(2)
+
 let test_server_deadline_over_wire () =
   let socket_path = tmp_name "po_serve_dl" in
   let server =
@@ -567,4 +618,5 @@ let () =
         [ quick "end to end" test_server_end_to_end;
           quick "oversized request" test_server_oversized_request;
           quick "overload sheds" test_server_overload_sheds;
-          quick "deadline over the wire" test_server_deadline_over_wire ] ) ]
+          quick "deadline over the wire" test_server_deadline_over_wire;
+          quick "fig_point on the pool" test_server_fig_point_on_pool ] ) ]
