@@ -267,10 +267,14 @@ let run_xl_bench () =
         (time_runs ~runs (fun () -> Po_model.Equilibrium.context_soa soa));
       row "equilibrium_solve_soa" n
         (time_runs ~runs (fun () -> Po_model.Equilibrium.solve_soa ~nu soa));
-      if n <= xl_game_cutoff then
-        row "cp_game_solve_soa" n
+      if n <= xl_game_cutoff then begin
+        (* The game runs on records; this draw is bit-identical to the
+           columns above (DESIGN.md §12), so [nu] carries over. *)
+        let cps = Po_workload.Ensemble.paper_ensemble ~n ~seed:42 () in
+        row "cp_game_solve" n
           (time_runs ~runs:1 (fun () ->
-               Po_core.Cp_game.solve_soa ~nu ~strategy soa)))
+               Po_core.Cp_game.solve ~nu ~strategy cps))
+      end)
     xl_sizes;
   let rows = List.rev !rows in
   let exponents =
@@ -285,7 +289,7 @@ let run_xl_bench () =
         if List.length points >= 2 then Some (kernel, fit_exponent points)
         else None)
       [ "ensemble_generate_soa"; "equilibrium_context_soa";
-        "equilibrium_solve_soa"; "cp_game_solve_soa" ]
+        "equilibrium_solve_soa"; "cp_game_solve" ]
   in
   print_newline ();
   print_endline "  fitted scaling exponents (log t ~ e log n):";

@@ -67,14 +67,6 @@ let of_cps cps =
     ~v:(col (fun cp -> cp.Cp.v))
     ~phi:(col (fun cp -> cp.Cp.phi))
 
-let get t i =
-  if i < 0 || i >= t.n then invalid_arg "Cp_soa.get: index out of bounds";
-  Cp.make ~id:i ~alpha:t.alpha.(i) ~theta_hat:t.theta_hat.(i)
-    ~demand:(Demand.exponential ~beta:t.beta.(i))
-    ~v:t.v.(i) ~phi:t.phi.(i) ()
-
-let to_cps t = Array.init t.n (get t)
-
 let concat parts =
   let n = Array.fold_left (fun acc p -> acc + p.n) 0 parts in
   let col f =
@@ -94,21 +86,6 @@ let concat parts =
     beta = col (fun p -> p.beta);
     v = col (fun p -> p.v);
     phi = col (fun p -> p.phi) }
-
-let append_one t src i =
-  let col c s = Array.append c [| s.(i) |] in
-  (* Both inputs were validated at construction. *)
-  { n = t.n + 1; alpha = col t.alpha src.alpha;
-    theta_hat = col t.theta_hat src.theta_hat; beta = col t.beta src.beta;
-    v = col t.v src.v; phi = col t.phi src.phi }
-
-let gather t indices =
-  let m = Array.length indices in
-  let col c = Array.init m (fun s -> c.(indices.(s))) in
-  (* Columns were validated at construction; gathering cannot invalidate
-     them, so skip the O(m) re-checks of [make]. *)
-  { n = m; alpha = col t.alpha; theta_hat = col t.theta_hat;
-    beta = col t.beta; v = col t.v; phi = col t.phi }
 
 (* ------------------------------------------------------------------ *)
 (* Demand evaluation (bit-identical to the record path)               *)
@@ -132,11 +109,6 @@ let cap_theta t i theta =
 let demand_at t i theta =
   demand_curve ~beta:t.beta.(i) (cap_theta t i theta /. t.theta_hat.(i))
 
-let rho t i ~theta =
-  let theta = cap_theta t i theta in
-  demand_at t i theta *. theta
-
-let lambda_per_capita t i ~theta = t.alpha.(i) *. rho t i ~theta
 let lambda_hat_per_capita t i = t.alpha.(i) *. t.theta_hat.(i)
 
 (* ------------------------------------------------------------------ *)

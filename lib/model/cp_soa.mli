@@ -9,12 +9,14 @@
     demands to the exponential family [d(omega) = exp (-beta (1/omega -
     1))] that every ensemble in the paper draws from.
 
+    Only the water-filling equilibrium ({!Equilibrium.solve_soa}) and
+    the consumer-surplus sum run on columns; the CP game keeps records.
+
     {b Equivalence invariant.}  Every evaluation here replicates the
     record path's float operations in the same order, so for any
-    population representable both ways the SoA solvers and the record
-    solvers are bit-identical; [test/test_soa.ml] enforces this
-    differentially.  {!of_cps} / {!to_cps} convert losslessly (records
-    with non-exponential demands are rejected). *)
+    population representable both ways the SoA equilibrium and the record
+    equilibrium are bit-identical; [test/test_soa.ml] enforces this
+    differentially on populations columnised with {!of_cps}. *)
 
 type t
 (** An immutable SoA population.  Treat the columns as frozen: the
@@ -40,26 +42,9 @@ val of_cps : Cp.t array -> t
     demand is outside the exponential family (its [Demand.beta] is
     [None]); record ids are dropped — the SoA identity is the index. *)
 
-val to_cps : t -> Cp.t array
-(** Materialise records (with [id = index]).  Intended for small-n
-    differential tests and interop, not for the large-n hot path. *)
-
-val get : t -> int -> Cp.t
-(** The single CP at an index, as a record. *)
-
-val gather : t -> int array -> t
-(** [gather t indices] is the sub-population whose position [s] is CP
-    [indices.(s)] of [t] — the SoA analogue of
-    [Partition.ordinary_members]; O(|indices|), no re-validation. *)
-
 val concat : t array -> t
 (** Concatenate populations in array order (chunk assembly of the
     streaming generators); O(total size), no re-validation. *)
-
-val append_one : t -> t -> int -> t
-(** [append_one members src i] extends [members] with CP [i] of [src] in
-    the last position — the SoA analogue of
-    [Array.append members [| cp |]] in ex-post deviation solves. *)
 
 val demand_curve : beta:float -> float -> float
 (** The exponential-family curve [d(omega) = exp (-beta (1/omega - 1))]
@@ -70,12 +55,6 @@ val demand_curve : beta:float -> float -> float
 val demand_at : t -> int -> float -> float
 (** [demand_at t i theta]: demand of CP [i] at throughput [theta]
     (clamped into [0, theta_hat]); bit-identical to {!Cp.demand_at}. *)
-
-val rho : t -> int -> theta:float -> float
-(** Per-user per-capita throughput [d_i(theta) * theta]. *)
-
-val lambda_per_capita : t -> int -> theta:float -> float
-(** [alpha_i * rho_i(theta)]. *)
 
 val lambda_hat_per_capita : t -> int -> float
 (** [alpha_i * theta_hat_i]. *)

@@ -43,22 +43,6 @@ let theta_at_cap (cp : Cp.t) w cap =
 let theta_at_cap_col th w cap =
   if Float.equal cap Float.infinity then th else Float.min th (w *. cap)
 
-let aggregate_at_cap ?weights ~cap cps =
-  let weights =
-    match weights with
-    | Some w ->
-        check_weights cps w;
-        w
-    | None -> unit_weights (Array.length cps)
-  in
-  let acc = ref 0. in
-  Array.iteri
-    (fun i cp ->
-      let theta = theta_at_cap cp weights.(i) cap in
-      acc := !acc +. Cp.lambda_per_capita cp ~theta)
-    cps;
-  !acc
-
 let of_cap cps weights ~congested cap =
   let n = Array.length cps in
   let theta = Array.init n (fun i -> theta_at_cap cps.(i) weights.(i) cap) in

@@ -52,14 +52,6 @@ type solution = {
 val empty : solution
 (** Equilibrium of a system with no CPs. *)
 
-val aggregate_at_cap :
-  ?weights:float array -> cap:float -> Cp.t array -> float
-(** Per-capita aggregate throughput [sum_i alpha_i d_i(theta_i) theta_i]
-    when every CP is throttled at [min (theta_hat_i, w_i * cap)], summed
-    in CP-array order (the pre-optimization accumulation; retained for
-    external callers and for audits of the solver's work-conservation
-    residual). *)
-
 type context
 (** Presorted saturation thresholds and prefix-summed saturated
     contributions for a fixed population and weight vector — the
@@ -72,8 +64,8 @@ val context : ?weights:float array -> Cp.t array -> context
 
 val context_soa : ?weights:float array -> Cp_soa.t -> context
 (** {!context} built directly from SoA columns — no record
-    materialisation; for equal populations the resulting context is
-    bit-equivalent to [context (Cp_soa.to_cps soa)]. *)
+    materialisation; the resulting context is bit-equivalent to
+    [context cps] whenever [soa = Cp_soa.of_cps cps]. *)
 
 val solve :
   ?budget:Po_sup.Budget.t -> ?context:context -> ?bracket:float * float ->
@@ -112,7 +104,7 @@ val solve_soa :
 (** {!solve} over a structure-of-arrays population: no [Cp.t] records
     are allocated anywhere on the solve path, which is what lets the
     n = 10^6 tier run with bounded memory.  Bit-identical to
-    [solve ~nu (Cp_soa.to_cps soa)] on every input (test/test_soa.ml);
+    [solve ~nu cps] whenever [soa = Cp_soa.of_cps cps] (test/test_soa.ml);
     same option semantics, error taxonomy and observability counters as
     {!solve}. *)
 

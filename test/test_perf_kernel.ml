@@ -202,17 +202,17 @@ let game_points cps =
 
 let test_game_differential () =
   List.iter
-    (fun seed ->
-      let cps = ensemble ~n:50 seed in
+    (fun (seed, n) ->
+      let cps = ensemble ~n seed in
       List.iter
         (fun (kappa, c, nu) ->
           let strategy = Strategy.make ~kappa ~c in
           check_outcome
-            (Printf.sprintf "seed=%d (%g,%g,nu=%g)" seed kappa c nu)
+            (Printf.sprintf "seed=%d n=%d (%g,%g,nu=%g)" seed n kappa c nu)
             (Cp_game.solve ~nu ~strategy cps)
             (Cp_game.solve_reference ~nu ~strategy cps))
         (game_points cps))
-    [ 4; 42 ]
+    [ (4, 50); (42, 50); (4, 30); (42, 90) ]
 
 let test_game_differential_small () =
   (* Tiny populations exercise the tolerant phase and the Nash fallback,
@@ -231,15 +231,41 @@ let test_game_differential_small () =
     [ 1; 2; 3; 7 ]
 
 let test_game_nash_differential () =
-  let cps = ensemble ~n:25 8 in
   List.iter
-    (fun (kappa, c, nu) ->
+    (fun (seed, n) ->
+      let cps = ensemble ~n seed in
+      List.iter
+        (fun (kappa, c, nu) ->
+          let strategy = Strategy.make ~kappa ~c in
+          check_outcome
+            (Printf.sprintf "nash seed=%d n=%d (%g,%g,nu=%g)" seed n kappa c
+               nu)
+            (Cp_game.solve_nash ~nu ~strategy cps)
+            (Cp_game.solve_nash_reference ~nu ~strategy cps))
+        (game_points cps))
+    [ (8, 25); (43, 14) ]
+
+let test_game_repeated_ids () =
+  (* [Cp.make] accepts any id, so ids may repeat; the engine's
+     solo-entrant memo must key on the CP's position, never its id, or
+     one CP is handed another's solo rate. *)
+  let cps =
+    Array.map
+      (fun (cp : Cp.t) ->
+        Cp.make ~id:0 ~alpha:cp.Cp.alpha ~theta_hat:cp.Cp.theta_hat
+          ~demand:cp.Cp.demand ~v:cp.Cp.v ~phi:cp.Cp.phi ())
+      (ensemble ~n:12 1)
+  in
+  let sat = Po_workload.Ensemble.saturation_nu cps in
+  List.iter
+    (fun (kappa, c, nu_frac) ->
       let strategy = Strategy.make ~kappa ~c in
+      let nu = nu_frac *. sat in
       check_outcome
-        (Printf.sprintf "nash (%g,%g,nu=%g)" kappa c nu)
-        (Cp_game.solve_nash ~nu ~strategy cps)
-        (Cp_game.solve_nash_reference ~nu ~strategy cps))
-    (game_points cps)
+        (Printf.sprintf "ids=0 (%g,%g,nu=%g)" kappa c nu)
+        (Cp_game.solve ~nu ~strategy cps)
+        (Cp_game.solve_reference ~nu ~strategy cps))
+    [ (0.2, 0.4, 0.2); (0.2, 0.05, 0.5); (0.2, 0.2, 0.5) ]
 
 let test_game_zero_capacity () =
   let cps = ensemble ~n:15 31 in
@@ -350,6 +376,7 @@ let () =
           quick "small populations bit-identical"
             test_game_differential_small;
           quick "nash solver bit-identical" test_game_nash_differential;
+          quick "repeated CP ids" test_game_repeated_ids;
           quick "zero capacity" test_game_zero_capacity ] );
       ( "sweeps",
         [ quick "chain_map pool-invariant" test_chain_map_matches_serial;

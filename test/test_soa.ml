@@ -1,13 +1,14 @@
 (* Differential tests for the structure-of-arrays tier (DESIGN.md §12):
-   the column solvers must be bit-identical to the record solvers on
-   every input — random ensembles, heterogeneous archetype mixes,
-   threshold ties, saturated and degenerate populations — the streaming
-   chunked ensemble generator must reproduce the serial record draw bit
-   for bit at any chunk size and jobs count, and the n = 10^5 tier must
-   complete with bounded scratch. *)
+   the column equilibrium solver must be bit-identical to the record
+   solvers on every input — random ensembles, heterogeneous archetype
+   mixes, threshold ties, saturated and degenerate populations — the
+   streaming chunked ensemble generator must reproduce the serial record
+   draw bit for bit at any chunk size and jobs count, and the n = 10^5
+   tier must complete with bounded scratch.  The CP game runs on records
+   only; its optimised-vs-reference differentials live in
+   test_perf_kernel. *)
 
 open Po_model
-open Po_core
 
 let quick name f = Alcotest.test_case name `Quick f
 
@@ -31,26 +32,6 @@ let check_solution name (a : Equilibrium.solution) (b : Equilibrium.solution) =
   Alcotest.(check bool)
     (name ^ " congested")
     a.Equilibrium.congested b.Equilibrium.congested
-
-let check_outcome name (a : Cp_game.outcome) (b : Cp_game.outcome) =
-  Alcotest.(check string)
-    (name ^ " partition")
-    (Partition.key a.Cp_game.partition)
-    (Partition.key b.Cp_game.partition);
-  check_bits_array (name ^ " theta") a.Cp_game.theta b.Cp_game.theta;
-  check_bits_array (name ^ " rho") a.Cp_game.rho b.Cp_game.rho;
-  check_bits (name ^ " cap_o") a.Cp_game.cap_ordinary b.Cp_game.cap_ordinary;
-  check_bits (name ^ " cap_p") a.Cp_game.cap_premium b.Cp_game.cap_premium;
-  check_bits (name ^ " lambda_o") a.Cp_game.lambda_ordinary
-    b.Cp_game.lambda_ordinary;
-  check_bits (name ^ " lambda_p") a.Cp_game.lambda_premium
-    b.Cp_game.lambda_premium;
-  check_bits (name ^ " phi") a.Cp_game.phi b.Cp_game.phi;
-  check_bits (name ^ " psi") a.Cp_game.psi b.Cp_game.psi;
-  Alcotest.(check bool) (name ^ " converged") a.Cp_game.converged
-    b.Cp_game.converged;
-  Alcotest.(check int) (name ^ " iterations") a.Cp_game.iterations
-    b.Cp_game.iterations
 
 let check_columns name soa soa' =
   let n = Cp_soa.length soa in
@@ -192,45 +173,6 @@ let test_surplus () =
     (Surplus.consumer cps sol)
 
 (* ------------------------------------------------------------------ *)
-(* CP game: SoA engine vs record engines                              *)
-(* ------------------------------------------------------------------ *)
-
-let game_points sat =
-  [ (0.3, 0.2, 0.5 *. sat); (0.5, 0.5, 0.2 *. sat); (0.8, 1.5, 0.05 *. sat);
-    (0., 0., 0.5 *. sat) ]
-
-let test_game_differential () =
-  List.iter
-    (fun (seed, n) ->
-      let cps = ensemble ~n seed in
-      let soa = Cp_soa.of_cps cps in
-      let sat = Po_workload.Ensemble.saturation_nu cps in
-      List.iter
-        (fun (kappa, c, nu) ->
-          let strategy = Strategy.make ~kappa ~c in
-          let name = Printf.sprintf "seed=%d n=%d (%g,%g,nu=%g)" seed n kappa c nu in
-          let from_soa = Cp_game.solve_soa ~nu ~strategy soa in
-          check_outcome (name ^ " soa/ref") from_soa
-            (Cp_game.solve_reference ~nu ~strategy cps);
-          check_outcome (name ^ " soa/opt") from_soa
-            (Cp_game.solve ~nu ~strategy cps))
-        (game_points sat))
-    [ (4, 30); (42, 90) ]
-
-let test_game_nash_differential () =
-  let cps = ensemble ~n:14 43 in
-  let soa = Cp_soa.of_cps cps in
-  let sat = Po_workload.Ensemble.saturation_nu cps in
-  List.iter
-    (fun (kappa, c, nu) ->
-      let strategy = Strategy.make ~kappa ~c in
-      check_outcome
-        (Printf.sprintf "nash (%g,%g,nu=%g)" kappa c nu)
-        (Cp_game.solve_nash_soa ~nu ~strategy soa)
-        (Cp_game.solve_nash ~nu ~strategy cps))
-    (game_points sat)
-
-(* ------------------------------------------------------------------ *)
 (* Streaming ensemble generation                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -345,9 +287,6 @@ let () =
           quick "weighted systems" test_eq_weighted;
           quick "context reuse" test_eq_context_reuse;
           quick "surplus and aggregates" test_surplus ] );
-      ( "cp_game",
-        [ quick "competitive solver bit-identical" test_game_differential;
-          quick "nash solver bit-identical" test_game_nash_differential ] );
       ( "ensemble",
         [ quick "chunked columns match serial records" test_ensemble_columns;
           quick "jobs-invariant generation" test_ensemble_jobs_invariant;
