@@ -64,10 +64,6 @@ let class_solution ~nu_class cps =
 let entrant_cap ~nu_class (sol : Equilibrium.solution) =
   if Float.equal nu_class 0. then 0. else sol.Equilibrium.cap
 
-let rho_at_cap (cp : Cp.t) cap =
-  let theta = Float.min cp.Cp.theta_hat (Float.max cap 0.) in
-  Cp.rho cp ~theta
-
 let class_capacities ~nu ~strategy =
   let kappa = Strategy.kappa strategy in
   ((1. -. kappa) *. nu, kappa *. nu)
@@ -97,6 +93,9 @@ let class_capacities ~nu ~strategy =
    hints cannot change {!Equilibrium.solve}'s output (see equilibrium.mli),
    so an engine with everything enabled matches the reference engine bit
    for bit — test/test_perf_kernel.ml holds it to that. *)
+module Key_tbl = Hashtbl.Make (String)
+module Index_tbl = Hashtbl.Make (Int)
+
 type engine = {
   kernel :
     bracket:(float * float) option -> nu:float -> Cp.t array ->
@@ -104,19 +103,18 @@ type engine = {
   (* R2-audit (no directive needed; only find_opt/add/mem/replace): all three engine tables are pure memos
      used through find_opt/replace only, never iterated, so Hashtbl order
      cannot reach any result. *)
-  class_memo :
-    (string, Equilibrium.solution * Equilibrium.solution) Hashtbl.t option;
-  solo_o : (int, float) Hashtbl.t option;  (* CP index -> solo rho at nu_o *)
-  solo_p : (int, float) Hashtbl.t option;
+  class_memo : (Equilibrium.solution * Equilibrium.solution) Key_tbl.t option;
+  solo_o : float Index_tbl.t option;  (* CP index -> solo rho at nu_o *)
+  solo_p : float Index_tbl.t option;
   mutable hint_o : (float * float) option;
   mutable hint_p : (float * float) option;
 }
 
 let optimized_engine () =
   { kernel = (fun ~bracket ~nu cps -> Equilibrium.solve ?bracket ~nu cps);
-    class_memo = Some (Hashtbl.create 64);
-    solo_o = Some (Hashtbl.create 64);
-    solo_p = Some (Hashtbl.create 64);
+    class_memo = Some (Key_tbl.create 64);
+    solo_o = Some (Index_tbl.create 64);
+    solo_p = Some (Index_tbl.create 64);
     hint_o = None; hint_p = None }
 
 let reference_engine () =
@@ -151,14 +149,14 @@ let class_solutions eng ~nu_o ~nu_p cps partition =
   | None -> compute ()
   | Some memo -> (
       let key = Partition.key partition in
-      match Hashtbl.find_opt memo key with
+      match Key_tbl.find_opt memo key with
       | Some pair ->
           Po_obs.Metrics.incr m_class_hits;
           pair
       | None ->
           Po_obs.Metrics.incr m_class_misses;
           let pair = compute () in
-          Hashtbl.replace memo key pair;
+          Key_tbl.replace memo key pair;
           pair)
 
 (* Record that CP [i] just moved: the class it left can only see its
@@ -196,19 +194,21 @@ let solo_rho eng ~premium ~nu_class cps i =
   match if premium then eng.solo_p else eng.solo_o with
   | None -> compute ()
   | Some memo -> (
-      match Hashtbl.find_opt memo i with
+      match Index_tbl.find_opt memo i with
       | Some rho ->
           Po_obs.Metrics.incr m_solo_hits;
           rho
       | None ->
           Po_obs.Metrics.incr m_solo_misses;
           let rho = compute () in
-          Hashtbl.replace memo i rho;
+          Index_tbl.replace memo i rho;
           rho)
 
 let estimate_rho_eng eng ~premium ~nu_class ~occupied cap cps i =
   if Float.equal nu_class 0. then 0.
-  else if occupied then rho_at_cap cps.(i) cap
+  else if occupied then
+    (* [Cp.rho] clamps the level into [0, theta_hat]. *)
+    Cp.rho cps.(i) ~theta:cap
   else solo_rho eng ~premium ~nu_class cps i
 
 let estimate_rho (cp : Cp.t) ~nu_class ~occupied cap =
@@ -497,7 +497,7 @@ let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy cps =
   (* R2-audit (no directive needed; only find_opt/add/mem/replace): cycle-detection set over partition keys;
      only mem/add are used, nothing is ever iterated, so Hashtbl order
      cannot influence which partition the solver settles on. *)
-  let seen = Hashtbl.create 64 in
+  let seen = Key_tbl.create 64 in
   let finish ?(tolerance = 0.) partition ~converged ~iterations =
     { (outcome_of_partition_eng eng ~nu ~strategy cps partition) with
       converged; iterations; concept = Competitive tolerance }
@@ -560,7 +560,7 @@ let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy cps =
     if n >= max_iter then finish partition ~converged:false ~iterations:n
     else begin
       let key = Partition.key partition in
-      if Hashtbl.mem seen key then begin
+      if Key_tbl.mem seen key then begin
         Log.debug (fun m ->
             m "cycle detected after %d simultaneous rounds at nu=%g %s" n nu
               (Strategy.to_string strategy));
@@ -575,7 +575,7 @@ let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy cps =
         async start n 0
       end
       else begin
-        Hashtbl.add seen key ();
+        Key_tbl.add seen key ();
         let partition' = simultaneous_round eng ~nu ~strategy cps partition in
         if Partition.equal partition partition' then
           finish partition' ~converged:true ~iterations:(n + 1)

@@ -36,7 +36,19 @@ let isp_nu ~nu ~gamma ~nu_sat m =
   if m <= 1e-12 then (4. *. nu_sat) +. 1.
   else Float.min (((4. *. nu_sat) +. 1.)) (gamma *. nu /. m)
 
-let solve ?(tol = 1e-6) config cps =
+(* Observability counters (DESIGN.md §11); disarmed each costs one
+   atomic load. *)
+let m_solves = Po_obs.Metrics.counter "duopoly.solves"
+
+let m_rival_memo_hits = Po_obs.Metrics.counter "duopoly.rival_memo_hits"
+
+module Bits_tbl = Hashtbl.Make (Int64)
+
+(* [rival_phi], when given, memoises Phi_J by the bits of the market share
+   for the root search's [gap]; see [best_response_generic] for when that
+   is sound.  [finish] always solves ISP J's game in full. *)
+let solve_with ?rival_phi ?(tol = 1e-6) config cps =
+  Po_obs.Metrics.incr m_solves;
   let nu_sat = unconstrained_nu cps in
   let warm_i = ref None and warm_j = ref None in
   let eval_i m =
@@ -57,9 +69,24 @@ let solve ?(tol = 1e-6) config cps =
     warm_j := Some o.Cp_game.partition;
     (nu_j, o)
   in
+  let phi_j m =
+    let solve_j () = (snd (eval_j m)).Cp_game.phi in
+    match rival_phi with
+    | None -> solve_j ()
+    | Some memo -> (
+        let key = Int64.bits_of_float m in
+        match Bits_tbl.find_opt memo key with
+        | Some phi ->
+            Po_obs.Metrics.incr m_rival_memo_hits;
+            phi
+        | None ->
+            let phi = solve_j () in
+            Bits_tbl.replace memo key phi;
+            phi)
+  in
   let gap m =
-    let _, oi = eval_i m and _, oj = eval_j m in
-    oi.Cp_game.phi -. oj.Cp_game.phi
+    let _, oi = eval_i m in
+    oi.Cp_game.phi -. phi_j m
   in
   let finish m ~interior =
     let nu_i, outcome_i = eval_i m in
@@ -90,6 +117,8 @@ let solve ?(tol = 1e-6) config cps =
     end
   end
 
+let solve ?tol config cps = solve_with ?tol config cps
+
 (* Each sweep point is an independent [solve] (the warm-start refs above
    live inside a single solve), so the points can be evaluated on a pool
    in any order without changing a single bit of the result. *)
@@ -106,12 +135,24 @@ let capacity_sweep ?pool ~config:cfg ~nus cps =
 let max_revenue_price cps =
   Array.fold_left (fun acc (cp : Cp.t) -> Float.max acc cp.Cp.v) 0. cps
 
+(* When ISP J plays kappa_J = 0 its premium class has no capacity, so no
+   CP ever prefers it: J's game settles at all-ordinary from any start and
+   Phi_J(m) is a pure function of J's capacity, hence of m alone (nu,
+   gamma_i and the population are fixed for the whole search).  The grid
+   points of one best response bisect over largely the same shares, so
+   one table of Phi_J per call replays J's game bit for bit.  It holds
+   floats only and dies with the call. *)
 let best_response_generic ~objective ?(levels = 2) ?(points = 9) ~config:cfg
     cps =
   let hi_c = Float.max (max_revenue_price cps) 1e-9 in
+  let rival_phi =
+    if Float.equal (Strategy.kappa cfg.strategy_j) 0. then
+      Some (Bits_tbl.create 64)
+    else None
+  in
   let value kappa c =
     let cfg = { cfg with strategy_i = Strategy.make ~kappa ~c } in
-    objective (solve cfg cps)
+    objective (solve_with ?rival_phi cfg cps)
   in
   let best =
     Po_num.Optimize.refine_grid_max2 ~levels ~points ~f:value ~lo1:0. ~hi1:1.

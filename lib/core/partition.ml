@@ -48,7 +48,12 @@ let move t i ~premium =
   t'.(i) <- premium;
   t'
 
-let equal a b = a = b
+(* A monomorphic loop: polymorphic [=] on [bool array] goes through the
+   runtime's generic compare on every simultaneous round. *)
+let equal a b =
+  let n = Array.length a in
+  let rec same i = i >= n || (Bool.equal a.(i) b.(i) && same (i + 1)) in
+  n = Array.length b && same 0
 
 let key t = String.init (size t) (fun i -> if t.(i) then 'P' else 'O')
 

@@ -16,11 +16,13 @@ let v ?(context = []) kind = { kind; context }
 let fail ?context kind = raise (Error (v ?context kind))
 let add_context frames e = { e with context = frames @ e.context }
 
-let with_context frames f =
+let with_lazy_context frames f =
   try f ()
   with Error e ->
     let bt = Printexc.get_raw_backtrace () in
-    Printexc.raise_with_backtrace (Error (add_context frames e)) bt
+    Printexc.raise_with_backtrace (Error (add_context (frames ()) e)) bt
+
+let with_context frames f = with_lazy_context (fun () -> frames) f
 
 let capture f = try Ok (f ()) with Error e -> Result.error e
 

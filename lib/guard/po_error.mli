@@ -71,6 +71,10 @@ val with_context : (string * string) list -> (unit -> 'a) -> 'a
     prepended (backtrace preserved).  Every other exception passes
     through untouched. *)
 
+val with_lazy_context : (unit -> (string * string) list) -> (unit -> 'a) -> 'a
+(** {!with_context} with the frames built only when the thunk raises
+    {!Error} — for hot paths whose frames cost a [Printf] per call. *)
+
 val capture : (unit -> 'a) -> ('a, t) result
 (** Run a thunk, catching {!Error} — the bridge from the raising world
     to the [result] world.  Other exceptions pass through. *)

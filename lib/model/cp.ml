@@ -27,7 +27,12 @@ let with_phi t phi =
   if phi < 0. then invalid_arg "Cp.with_phi: phi < 0";
   { t with phi }
 
-let cap_theta t theta = Float.min (Float.max theta 0.) t.theta_hat
+(* [Float.min]/[Float.max] without their [caml_signbit] calls; see the
+   copy in [Equilibrium] for why each hot module keeps its own. *)
+let[@inline] fmin x y = if x < y then x else if y < x then y else Float.min x y
+let[@inline] fmax x y = if x > y then x else if y > x then y else Float.max x y
+
+let cap_theta t theta = fmin (fmax theta 0.) t.theta_hat
 
 let demand_at t theta =
   Demand.eval_throughput t.demand ~theta_hat:t.theta_hat (cap_theta t theta)

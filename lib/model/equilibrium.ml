@@ -36,12 +36,21 @@ let m_hint_used = Po_obs.Metrics.counter "equilibrium.bracket_hint_used"
 
 let m_hint_discarded = Po_obs.Metrics.counter "equilibrium.bracket_hint_discarded"
 
+(* [Float.min]/[Float.max] exactly — NaN and signed zeros included, since
+   only the ties and the unordered pairs reach the stdlib call — without
+   its [caml_signbit] C calls on the common ordered inputs.  Kept local
+   (as in [Cp]): dune's dev profile compiles with -opaque, so a helper in
+   another module is never inlined and its boxed call costs more than
+   [Float.min] itself. *)
+let[@inline] fmin x y = if x < y then x else if y < x then y else Float.min x y
+let[@inline] fmax x y = if x > y then x else if y > x then y else Float.max x y
+
 let theta_at_cap (cp : Cp.t) w cap =
   if Float.equal cap Float.infinity then cp.Cp.theta_hat
-  else Float.min cp.Cp.theta_hat (w *. cap)
+  else fmin cp.Cp.theta_hat (w *. cap)
 
-let theta_at_cap_col th w cap =
-  if Float.equal cap Float.infinity then th else Float.min th (w *. cap)
+let[@inline] theta_at_cap_col th w cap =
+  if Float.equal cap Float.infinity then th else fmin th (w *. cap)
 
 let of_cap cps weights ~congested cap =
   let n = Array.length cps in
@@ -137,7 +146,7 @@ let tail_term ctx s cap =
   let th = ctx.s_theta_hat.(s) in
   let theta0 = theta_at_cap_col th ctx.s_weights.(s) cap in
   (* [Cp.cap_theta]'s clamp, idempotent here but kept for bit parity. *)
-  let theta = Float.min (Float.max theta0 0.) th in
+  let theta = fmin (fmax theta0 0.) th in
   let d = demand_value ctx.s_demand s (theta /. th) in
   ctx.s_alpha.(s) *. (d *. theta)
 
@@ -234,7 +243,7 @@ let aggregate_sorted ctx ~cap =
       for s = k to n - 1 do
         let th = ctx.s_theta_hat.(s) in
         let theta0 = theta_at_cap_col th ctx.s_weights.(s) cap in
-        let theta = Float.min (Float.max theta0 0.) th in
+        let theta = fmin (fmax theta0 0.) th in
         let d = Cp_soa.demand_curve ~beta:betas.(s) (theta /. th) in
         acc := !acc +. (ctx.s_alpha.(s) *. (d *. theta))
       done
@@ -335,7 +344,9 @@ let solve_congested ?budget ~thresholds ~aggregate ~bracket ~tol ~nu ~n () =
           Po_sup.Budget.check b;
           aggregate ~cap
   in
-  let frames =
+  (* Built on the error paths only, so a congested solve that succeeds
+     pays no [Printf]. *)
+  let frames () =
     [ ("solver", "equilibrium"); ("nu", Printf.sprintf "%.17g" nu);
       ("cps", string_of_int n) ]
   in
@@ -344,11 +355,11 @@ let solve_congested ?budget ~thresholds ~aggregate ~bracket ~tol ~nu ~n () =
      needing a pathological input. *)
   if Po_guard.Faultinject.fire Po_guard.Faultinject.Solver ~key:0 then
     Po_guard.Po_error.fail
-      ~context:(("injected", "solver") :: frames)
+      ~context:(("injected", "solver") :: frames ())
       (Po_guard.Po_error.Non_convergence
          { residual = Float.infinity; iterations = 0 });
   let outcome =
-    Po_guard.Po_error.with_context frames (fun () ->
+    Po_guard.Po_error.with_lazy_context frames (fun () ->
         congested_cap ~thresholds ~aggregate ~bracket ~tol ~nu)
   in
   (* The seed discarded [converged] and used the last iterate; a
@@ -356,7 +367,7 @@ let solve_congested ?budget ~thresholds ~aggregate ~bracket ~tol ~nu ~n () =
      every welfare number downstream, so surface it. *)
   Po_obs.Metrics.add m_iterations outcome.Po_num.Roots.iterations;
   if not outcome.Po_num.Roots.converged then
-    Po_guard.Po_error.fail ~context:frames
+    Po_guard.Po_error.fail ~context:(frames ())
       (Po_guard.Po_error.Non_convergence
          { residual = Float.abs outcome.Po_num.Roots.value;
            iterations = outcome.Po_num.Roots.iterations });

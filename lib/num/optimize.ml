@@ -23,75 +23,93 @@ let golden_section_max ?(tol = 1e-9) ?(max_iter = 200) ~f ~lo ~hi () =
   let d = lo +. (golden *. (hi -. lo)) in
   loop lo hi c (f c) d (f d) 0
 
+(* Observability counter (DESIGN.md §11): one tick per objective
+   evaluation of a grid search; disarmed it costs one atomic load. *)
+let m_evaluations = Po_obs.Metrics.counter "optimize.evaluations"
+
+(* Each grid point is evaluated exactly once: [grid.(0)] seeds the
+   running best and the scan starts at the next point, so a strict [>]
+   keeps the first maximiser on ties (and a NaN at [grid.(0)] is kept,
+   since nothing compares greater than it). *)
 let grid_max ~f ~grid () =
-  if Array.length grid = 0 then invalid_arg "Optimize.grid_max: empty grid";
-  let best = ref { x = grid.(0); fx = f grid.(0) } in
-  Array.iter
-    (fun x ->
-      let fx = f x in
-      if fx > !best.fx then best := { x; fx })
-    grid;
+  let n = Array.length grid in
+  if n = 0 then invalid_arg "Optimize.grid_max: empty grid";
+  let eval x =
+    Po_obs.Metrics.incr m_evaluations;
+    f x
+  in
+  let best = ref { x = grid.(0); fx = eval grid.(0) } in
+  for i = 1 to n - 1 do
+    let x = grid.(i) in
+    let fx = eval x in
+    if fx > !best.fx then best := { x; fx }
+  done;
   !best
 
 let grid_max2 ~f ~grid1 ~grid2 () =
-  if Array.length grid1 = 0 || Array.length grid2 = 0 then
-    invalid_arg "Optimize.grid_max2: empty grid";
-  let best =
-    ref { x1 = grid1.(0); x2 = grid2.(0); f12 = f grid1.(0) grid2.(0) }
+  let n1 = Array.length grid1 and n2 = Array.length grid2 in
+  if n1 = 0 || n2 = 0 then invalid_arg "Optimize.grid_max2: empty grid";
+  let eval x1 x2 =
+    Po_obs.Metrics.incr m_evaluations;
+    f x1 x2
   in
-  Array.iter
-    (fun x1 ->
-      Array.iter
-        (fun x2 ->
-          let f12 = f x1 x2 in
-          if f12 > !best.f12 then best := { x1; x2; f12 })
-        grid2)
-    grid1;
+  let best =
+    ref { x1 = grid1.(0); x2 = grid2.(0); f12 = eval grid1.(0) grid2.(0) }
+  in
+  for i = 0 to n1 - 1 do
+    let x1 = grid1.(i) in
+    for j = (if i = 0 then 1 else 0) to n2 - 1 do
+      let x2 = grid2.(j) in
+      let f12 = eval x1 x2 in
+      if f12 > !best.f12 then best := { x1; x2; f12 }
+    done
+  done;
   !best
 
+(* [levels] counts the grids scanned: the coarse scan of the whole
+   interval, then up to [levels - 1] scans of the bracket one grid step
+   either side of the best point so far.  A refined scan replaces the
+   best only on a strict improvement. *)
 let refine_grid_max ?(levels = 3) ?(points = 33) ~f ~lo ~hi () =
   if points < 3 then invalid_arg "Optimize.refine_grid_max: points < 3";
-  let rec loop lo hi level best =
-    if level = 0 then best
+  let scan lo hi = grid_max ~f ~grid:(Grid.linspace lo hi points) () in
+  let rec refine lo hi level best =
+    if level <= 1 then best
     else begin
-      let grid = Grid.linspace lo hi points in
-      let local = grid_max ~f ~grid () in
-      let best = if local.fx > best.fx then local else best in
       let step = (hi -. lo) /. float_of_int (points - 1) in
       let lo' = Float.max lo (best.x -. step) in
       let hi' = Float.min hi (best.x +. step) in
-      if hi' -. lo' <= 0. then best else loop lo' hi' (level - 1) best
+      if hi' -. lo' <= 0. then best
+      else
+        let local = scan lo' hi' in
+        refine lo' hi' (level - 1) (if local.fx > best.fx then local else best)
     end
   in
-  let first = grid_max ~f ~grid:(Grid.linspace lo hi points) () in
-  loop lo hi levels first
+  refine lo hi levels (scan lo hi)
 
 let refine_grid_max2 ?(levels = 3) ?(points = 17) ~f ~lo1 ~hi1 ~lo2 ~hi2 () =
   if points < 3 then invalid_arg "Optimize.refine_grid_max2: points < 3";
-  let rec loop lo1 hi1 lo2 hi2 level best =
-    if level = 0 then best
-    else begin
-      let grid1 = Grid.linspace lo1 hi1 points in
-      let grid2 = Grid.linspace lo2 hi2 points in
-      let local = grid_max2 ~f ~grid1 ~grid2 () in
-      let best = if local.f12 > best.f12 then local else best in
-      let s1 = (hi1 -. lo1) /. float_of_int (points - 1) in
-      let s2 = (hi2 -. lo2) /. float_of_int (points - 1) in
-      loop
-        (Float.max lo1 (best.x1 -. s1))
-        (Float.min hi1 (best.x1 +. s1))
-        (Float.max lo2 (best.x2 -. s2))
-        (Float.min hi2 (best.x2 +. s2))
-        (level - 1) best
-    end
-  in
-  let first =
+  let scan lo1 hi1 lo2 hi2 =
     grid_max2 ~f
       ~grid1:(Grid.linspace lo1 hi1 points)
       ~grid2:(Grid.linspace lo2 hi2 points)
       ()
   in
-  loop lo1 hi1 lo2 hi2 levels first
+  let rec refine lo1 hi1 lo2 hi2 level best =
+    if level <= 1 then best
+    else begin
+      let s1 = (hi1 -. lo1) /. float_of_int (points - 1) in
+      let s2 = (hi2 -. lo2) /. float_of_int (points - 1) in
+      let lo1 = Float.max lo1 (best.x1 -. s1)
+      and hi1 = Float.min hi1 (best.x1 +. s1)
+      and lo2 = Float.max lo2 (best.x2 -. s2)
+      and hi2 = Float.min hi2 (best.x2 +. s2) in
+      let local = scan lo1 hi1 lo2 hi2 in
+      refine lo1 hi1 lo2 hi2 (level - 1)
+        (if local.f12 > best.f12 then local else best)
+    end
+  in
+  refine lo1 hi1 lo2 hi2 levels (scan lo1 hi1 lo2 hi2)
 
 (* Standard Nelder-Mead with reflection 1, expansion 2, contraction 0.5,
    shrink 0.5. *)

@@ -252,6 +252,152 @@ let test_refine_grid_max2 () =
   check_close 1e-3 "x" 0.3 r.Optimize.x1;
   check_close 1e-3 "y" 0.7 r.Optimize.x2
 
+(* The refinement as it stood before each grid was scanned once, kept as
+   the bit-identity oracle: every scan evaluates [grid.(0)] twice, and
+   the refinement loop rescans the coarse grid before narrowing. *)
+module Seed_optimize = struct
+  open Optimize
+
+  let grid_max ~f ~grid =
+    let best = ref { x = grid.(0); fx = f grid.(0) } in
+    Array.iter
+      (fun x ->
+        let fx = f x in
+        if fx > !best.fx then best := { x; fx })
+      grid;
+    !best
+
+  let grid_max2 ~f ~grid1 ~grid2 =
+    let best =
+      ref { x1 = grid1.(0); x2 = grid2.(0); f12 = f grid1.(0) grid2.(0) }
+    in
+    Array.iter
+      (fun x1 ->
+        Array.iter
+          (fun x2 ->
+            let f12 = f x1 x2 in
+            if f12 > !best.f12 then best := { x1; x2; f12 })
+          grid2)
+      grid1;
+    !best
+
+  let refine_grid_max ~levels ~points ~f ~lo ~hi =
+    let rec loop lo hi level best =
+      if level = 0 then best
+      else begin
+        let local = grid_max ~f ~grid:(Grid.linspace lo hi points) in
+        let best = if local.fx > best.fx then local else best in
+        let step = (hi -. lo) /. float_of_int (points - 1) in
+        let lo' = Float.max lo (best.x -. step) in
+        let hi' = Float.min hi (best.x +. step) in
+        if hi' -. lo' <= 0. then best else loop lo' hi' (level - 1) best
+      end
+    in
+    loop lo hi levels (grid_max ~f ~grid:(Grid.linspace lo hi points))
+
+  let refine_grid_max2 ~levels ~points ~f ~lo1 ~hi1 ~lo2 ~hi2 =
+    let rec loop lo1 hi1 lo2 hi2 level best =
+      if level = 0 then best
+      else begin
+        let local =
+          grid_max2 ~f
+            ~grid1:(Grid.linspace lo1 hi1 points)
+            ~grid2:(Grid.linspace lo2 hi2 points)
+        in
+        let best = if local.f12 > best.f12 then local else best in
+        let s1 = (hi1 -. lo1) /. float_of_int (points - 1) in
+        let s2 = (hi2 -. lo2) /. float_of_int (points - 1) in
+        loop
+          (Float.max lo1 (best.x1 -. s1))
+          (Float.min hi1 (best.x1 +. s1))
+          (Float.max lo2 (best.x2 -. s2))
+          (Float.min hi2 (best.x2 +. s2))
+          (level - 1) best
+      end
+    in
+    loop lo1 hi1 lo2 hi2 levels
+      (grid_max2 ~f
+         ~grid1:(Grid.linspace lo1 hi1 points)
+         ~grid2:(Grid.linspace lo2 hi2 points))
+end
+
+let counting f =
+  let calls = ref 0 in
+  ((fun x -> incr calls; f x), calls)
+
+let counting2 f =
+  let calls = ref 0 in
+  ((fun x y -> incr calls; f x y), calls)
+
+let test_refine_grid_evaluation_counts () =
+  let f, calls = counting (fun x -> -.((x -. 0.137) ** 2.)) in
+  ignore (Optimize.refine_grid_max ~levels:3 ~points:33 ~f ~lo:0. ~hi:1. ());
+  Alcotest.(check int) "1-D: 3 grids of 33" 99 !calls;
+  let f2, calls2 =
+    counting2 (fun x y -> -.((x -. 0.3) ** 2.) -. ((y -. 0.7) ** 2.))
+  in
+  ignore
+    (Optimize.refine_grid_max2 ~levels:2 ~points:9 ~f:f2 ~lo1:0. ~hi1:1.
+       ~lo2:0. ~hi2:2. ());
+  Alcotest.(check int) "2-D: 2 grids of 9x9" 162 !calls2;
+  let g, calls_g = counting (fun x -> x) in
+  ignore (Optimize.grid_max ~f:g ~grid:(Grid.linspace 0. 1. 7) ());
+  Alcotest.(check int) "grid_max: once per point" 7 !calls_g
+
+let same_bits what a b =
+  Alcotest.(check int64) what (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Objectives the search meets: smooth, with jumps, flat (every point
+   ties) and one that is NaN exactly at the first grid point. *)
+let objectives_1d =
+  [ ("smooth", fun x -> -.((x -. 0.137) ** 2.));
+    ("discontinuous",
+     fun x -> if x > 0.8 then 2. else if x > 0.3 then 1. +. x else 0.);
+    ("all ties", fun _ -> 1.);
+    ("nan at grid.(0)",
+     fun x -> if Float.equal x 0. then Float.nan else -.((x -. 0.6) ** 2.)) ]
+
+let objectives_2d =
+  [ ("smooth", fun x y -> -.((x -. 0.3) ** 2.) -. ((y -. 0.7) ** 2.));
+    ("discontinuous",
+     fun x y -> if x +. y > 1.2 then 3. -. y else if x > 0.4 then x else 0.);
+    ("all ties", fun _ _ -> 1.);
+    ("nan at grid.(0)",
+     fun x y ->
+       if Float.equal x 0. && Float.equal y 0. then Float.nan
+       else -.((x -. 0.5) ** 2.) -. y) ]
+
+let test_refine_grid_matches_seed () =
+  List.iter
+    (fun (name, f) ->
+      List.iter
+        (fun (levels, points) ->
+          let what = Printf.sprintf "%s levels=%d points=%d" name levels points in
+          let r = Optimize.refine_grid_max ~levels ~points ~f ~lo:0. ~hi:1. () in
+          let s = Seed_optimize.refine_grid_max ~levels ~points ~f ~lo:0. ~hi:1. in
+          same_bits (what ^ " x") s.Optimize.x r.Optimize.x;
+          same_bits (what ^ " fx") s.Optimize.fx r.Optimize.fx)
+        [ (0, 5); (1, 9); (2, 9); (3, 33); (5, 3) ])
+    objectives_1d;
+  List.iter
+    (fun (name, f) ->
+      List.iter
+        (fun (levels, points) ->
+          let what = Printf.sprintf "%s levels=%d points=%d" name levels points in
+          let r =
+            Optimize.refine_grid_max2 ~levels ~points ~f ~lo1:0. ~hi1:1. ~lo2:0.
+              ~hi2:2. ()
+          in
+          let s =
+            Seed_optimize.refine_grid_max2 ~levels ~points ~f ~lo1:0. ~hi1:1.
+              ~lo2:0. ~hi2:2.
+          in
+          same_bits (what ^ " x1") s.Optimize.x1 r.Optimize.x1;
+          same_bits (what ^ " x2") s.Optimize.x2 r.Optimize.x2;
+          same_bits (what ^ " f12") s.Optimize.f12 r.Optimize.f12)
+        [ (0, 5); (1, 9); (2, 9); (3, 17); (4, 3) ])
+    objectives_2d
+
 let test_nelder_mead_rosenbrock () =
   let f v =
     let x = v.(0) and y = v.(1) in
@@ -527,6 +673,10 @@ let () =
           quick "refine grid" test_refine_grid_max;
           quick "refine grid discontinuous" test_refine_grid_max_discontinuous;
           quick "refine grid 2d" test_refine_grid_max2;
+          quick "refine grid evaluation counts"
+            test_refine_grid_evaluation_counts;
+          quick "refine grid bit-identical to the seed"
+            test_refine_grid_matches_seed;
           quick "nelder-mead rosenbrock" test_nelder_mead_rosenbrock;
           quick "maximize wrapper" test_maximize_nelder_mead;
           prop prop_golden_section_quadratics ] );

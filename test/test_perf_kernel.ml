@@ -323,6 +323,84 @@ let test_monopoly_sweeps_pool_invariant () =
         caps)
 
 (* ------------------------------------------------------------------ *)
+(* Duopoly best response: rival memo vs brute force                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The best responses memoise a kappa_J = 0 rival's surplus across the
+   grid; the reference re-solves every grid point from the public
+   [Duopoly.solve] through the same grid search, so the two must agree
+   bit for bit.  The kappa_J = 0.5 rival pins the memo-off path. *)
+let brute_force_best_response ~objective ~config:cfg cps =
+  let hi_c =
+    Float.max
+      (Array.fold_left (fun acc (cp : Cp.t) -> Float.max acc cp.Cp.v) 0. cps)
+      1e-9
+  in
+  let value kappa c =
+    objective
+      (Duopoly.solve { cfg with Duopoly.strategy_i = Strategy.make ~kappa ~c } cps)
+  in
+  let best =
+    Po_num.Optimize.refine_grid_max2 ~levels:2 ~points:9 ~f:value ~lo1:0.
+      ~hi1:1. ~lo2:0. ~hi2:hi_c ()
+  in
+  let strategy =
+    Strategy.make ~kappa:best.Po_num.Optimize.x1 ~c:best.Po_num.Optimize.x2
+  in
+  (strategy, Duopoly.solve { cfg with Duopoly.strategy_i = strategy } cps)
+
+let check_best_response name (s, (eq : Duopoly.equilibrium))
+    (s', (eq' : Duopoly.equilibrium)) =
+  check_bits (name ^ " kappa") (Strategy.kappa s) (Strategy.kappa s');
+  check_bits (name ^ " c") (Strategy.c s) (Strategy.c s');
+  check_bits (name ^ " m_i") eq.Duopoly.m_i eq'.Duopoly.m_i;
+  check_bits (name ^ " phi") eq.Duopoly.phi eq'.Duopoly.phi;
+  check_bits (name ^ " psi_i") eq.Duopoly.psi_i eq'.Duopoly.psi_i
+
+(* Run [f] with the metrics armed; also return the rival-memo hits and
+   the duopoly solves it made. *)
+let with_duopoly_counts f =
+  Po_obs.Metrics.reset ();
+  Po_obs.Metrics.arm ();
+  let r = Fun.protect ~finally:Po_obs.Metrics.disarm f in
+  let count name =
+    Option.value ~default:0
+      (List.assoc_opt name (Po_obs.Metrics.counters ()))
+  in
+  (r, count "duopoly.rival_memo_hits", count "duopoly.solves")
+
+let test_best_response_rival_memo () =
+  List.iter
+    (fun (seed, n, strategy_j) ->
+      let cps = ensemble ~n seed in
+      let nu = 0.85 *. Po_workload.Ensemble.saturation_nu cps in
+      let config =
+        Duopoly.config ~strategy_j ~nu ~strategy_i:Strategy.public_option ()
+      in
+      let name = Printf.sprintf "seed=%d n=%d s_J=%s" seed n
+          (Strategy.to_string strategy_j) in
+      let share, hits, solves =
+        with_duopoly_counts (fun () ->
+            Duopoly.best_response_market_share ~config cps)
+      in
+      (* 2 grids of 9 x 9, then the solve at the chosen strategy. *)
+      Alcotest.(check int) (name ^ " duopoly solves") 163 solves;
+      Alcotest.(check bool)
+        (name ^ " memo used iff kappa_J = 0")
+        (Float.equal (Strategy.kappa strategy_j) 0.)
+        (hits > 0);
+      check_best_response (name ^ " share") share
+        (brute_force_best_response ~objective:(fun eq -> eq.Duopoly.m_i)
+           ~config cps);
+      check_best_response (name ^ " surplus")
+        (Duopoly.best_response_consumer_surplus ~config cps)
+        (brute_force_best_response ~objective:(fun eq -> eq.Duopoly.phi)
+           ~config cps))
+    [ (1, 12, Strategy.public_option); (2, 16, Strategy.public_option);
+      (3, 20, Strategy.public_option);
+      (4, 14, Strategy.make ~kappa:0.5 ~c:0.3) ]
+
+(* ------------------------------------------------------------------ *)
 (* Figure registry: every figure identical for any jobs count          *)
 (* ------------------------------------------------------------------ *)
 
@@ -382,6 +460,9 @@ let () =
         [ quick "chain_map pool-invariant" test_chain_map_matches_serial;
           quick "monopoly sweeps pool-invariant"
             test_monopoly_sweeps_pool_invariant ] );
+      ( "duopoly",
+        [ quick "best responses match brute force"
+            test_best_response_rival_memo ] );
       ( "figures",
         [ slow "whole registry identical at jobs 1/3"
             slow_test_registry_jobs_invariant ] ) ]
