@@ -69,18 +69,73 @@ let class_capacities ~nu ~strategy =
   ((1. -. kappa) *. nu, kappa *. nu)
 
 (* ------------------------------------------------------------------ *)
+(* Prepared population                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* What every game over one market shares: the population sorted once
+   (each class context is a restriction of it, DESIGN.md §9), and each
+   CP's saturation threshold and per-user rate at saturation.  A
+   throughput-taking estimate at a level [cap >= theta_hat_i] is exactly
+   [rho_sat.(i)], since [Cp.rho] clamps the level to [theta_hat_i]
+   first. *)
+type prepared = {
+  source : Cp.t array;  (* private copy of the caller's array *)
+  population : Equilibrium.population;
+  theta_hat : float array;
+  rho_sat : float array;  (* [Cp.rho cp ~theta:cp.theta_hat] *)
+}
+
+(* A timing histogram rather than a counter: builds happen once per
+   domain and market, so their number depends on the pool size, and
+   counter snapshots must not (DESIGN.md §11). *)
+let m_population_build = Po_obs.Metrics.histogram "cp_game.population_build_s"
+
+(* One slot per domain: the games of a best response or a sweep chunk
+   run back to back on one array, so one slot catches them all. *)
+let prepared_slot : prepared option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+(* [Cp.t] is immutable, so element-wise physical equality against the
+   private copy proves the population unchanged — even when the caller
+   has since overwritten slots of its own array. *)
+let same_population a b =
+  let n = Array.length a in
+  let rec same i = i >= n || (a.(i) == b.(i) && same (i + 1)) in
+  n = Array.length b && same 0
+
+let prepare cps =
+  let slot = Domain.DLS.get prepared_slot in
+  match !slot with
+  | Some p when same_population p.source cps -> p
+  | _ ->
+      let p =
+        Po_obs.Metrics.time_s m_population_build (fun () ->
+            { source = Array.copy cps;
+              population = Equilibrium.population cps;
+              theta_hat = Array.map (fun (cp : Cp.t) -> cp.Cp.theta_hat) cps;
+              rho_sat =
+                Array.map (fun (cp : Cp.t) -> Cp.rho cp ~theta:cp.Cp.theta_hat)
+                  cps })
+      in
+      slot := Some p;
+      p
+
+(* ------------------------------------------------------------------ *)
 (* Solver engine                                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* One engine lives for the duration of one equilibrium search.  It owns
 
-   - the equilibrium kernel behind every class re-solve (the optimized
-     {!Equilibrium.solve}, or the retained {!Equilibrium.solve_reference}
-     for differential testing),
-   - a partition-keyed memo of class solutions — the phases of the
+   - the equilibrium kernel behind every class re-solve: levels found
+     over contexts restricted from the prepared population, or the
+     retained {!Equilibrium.solve_reference} for differential testing,
+   - a partition-keyed memo of class water levels — the phases of the
      search revisit partitions (cycle iterates, the finishing
      [outcome_of_partition], quiescent passes), and a class re-solve is
-     a pure function of the membership,
+     a pure function of the membership.  The passes need only the
+     levels; the outcome and the Nash pass materialise full solutions
+     from them with {!Equilibrium.of_level}, which is the second half of
+     {!Equilibrium.solve} and so replays the same bits,
    - a per-class solo-entrant memo: the rate an entrant anticipates in
      an {e empty} class is its solo equilibrium, a pure function of
      (CP, nu_class) re-requested for every CP every round,
@@ -89,10 +144,11 @@ let class_capacities ~nu ~strategy =
      so the next re-solve starts from a one-sided interval around the
      previous level.
 
-   All four are bit-transparent: caches replay pure results, and bracket
-   hints cannot change {!Equilibrium.solve}'s output (see equilibrium.mli),
-   so an engine with everything enabled matches the reference engine bit
-   for bit — test/test_perf_kernel.ml holds it to that. *)
+   All of these are bit-transparent: caches replay pure results, and
+   bracket hints cannot change {!Equilibrium.solve}'s output (see
+   equilibrium.mli), so an engine with everything enabled matches the
+   reference engine bit for bit — test/test_perf_kernel.ml holds it to
+   that. *)
 module Key_tbl = Hashtbl.Make (String)
 module Index_tbl = Hashtbl.Make (Int)
 
@@ -100,18 +156,20 @@ type engine = {
   kernel :
     bracket:(float * float) option -> nu:float -> Cp.t array ->
     Equilibrium.solution;
+  prepared : prepared option;  (* [None] on the reference engine *)
   (* R2-audit (no directive needed; only find_opt/add/mem/replace): all three engine tables are pure memos
      used through find_opt/replace only, never iterated, so Hashtbl order
      cannot reach any result. *)
-  class_memo : (Equilibrium.solution * Equilibrium.solution) Key_tbl.t option;
+  class_memo : (float * float) Key_tbl.t option;
   solo_o : float Index_tbl.t option;  (* CP index -> solo rho at nu_o *)
   solo_p : float Index_tbl.t option;
   mutable hint_o : (float * float) option;
   mutable hint_p : (float * float) option;
 }
 
-let optimized_engine () =
+let optimized_engine cps =
   { kernel = (fun ~bracket ~nu cps -> Equilibrium.solve ?bracket ~nu cps);
+    prepared = Some (prepare cps);
     class_memo = Some (Key_tbl.create 64);
     solo_o = Some (Index_tbl.create 64);
     solo_p = Some (Index_tbl.create 64);
@@ -120,30 +178,38 @@ let optimized_engine () =
 let reference_engine () =
   { kernel =
       (fun ~bracket:_ ~nu cps -> Equilibrium.solve_reference ~nu cps);
-    class_memo = None; solo_o = None; solo_p = None;
+    prepared = None; class_memo = None; solo_o = None; solo_p = None;
     hint_o = None; hint_p = None }
 
-let class_solution_eng eng ~premium ~nu_class members =
-  if Float.equal nu_class 0. then zero_class_solution (Array.length members)
+(* Water level of one class at a partition.  A class without capacity
+   has level 0, which is also the level an entrant perceives there. *)
+let class_level eng ~premium ~nu_class cps partition =
+  if Float.equal nu_class 0. then 0.
   else begin
     let bracket = if premium then eng.hint_p else eng.hint_o in
     if premium then eng.hint_p <- None else eng.hint_o <- None;
-    eng.kernel ~bracket ~nu:nu_class members
+    let members =
+      (if premium then Partition.premium_members
+       else Partition.ordinary_members)
+        partition cps
+    in
+    match eng.prepared with
+    | None -> (eng.kernel ~bracket ~nu:nu_class members).Equilibrium.cap
+    | Some p ->
+        let context =
+          Equilibrium.restrict p.population (fun i ->
+              Bool.equal (Partition.in_premium partition i) premium)
+        in
+        Equilibrium.level ~context ?bracket ~nu:nu_class members
   end
 
-(* Both class solutions at a partition, memoised on the membership key
+(* Both class levels at a partition, memoised on the membership key
    (with a fixed population the key pins both member sets). *)
-let class_solutions eng ~nu_o ~nu_p cps partition =
+let class_levels eng ~nu_o ~nu_p cps partition =
   let compute () =
-    let sol_o =
-      class_solution_eng eng ~premium:false ~nu_class:nu_o
-        (Partition.ordinary_members partition cps)
-    in
-    let sol_p =
-      class_solution_eng eng ~premium:true ~nu_class:nu_p
-        (Partition.premium_members partition cps)
-    in
-    (sol_o, sol_p)
+    let level_o = class_level eng ~premium:false ~nu_class:nu_o cps partition in
+    let level_p = class_level eng ~premium:true ~nu_class:nu_p cps partition in
+    (level_o, level_p)
   in
   match eng.class_memo with
   | None -> compute ()
@@ -158,6 +224,19 @@ let class_solutions eng ~nu_o ~nu_p cps partition =
           let pair = compute () in
           Key_tbl.replace memo key pair;
           pair)
+
+let solution_of_level ~nu_class members level =
+  if Float.equal nu_class 0. then zero_class_solution (Array.length members)
+  else Equilibrium.of_level members level
+
+(* Both classes' member arrays and full solutions at a partition. *)
+let class_solutions eng ~nu_o ~nu_p cps partition =
+  let level_o, level_p = class_levels eng ~nu_o ~nu_p cps partition in
+  let ordinary = Partition.ordinary_members partition cps in
+  let premium = Partition.premium_members partition cps in
+  ( ordinary, premium,
+    solution_of_level ~nu_class:nu_o ordinary level_o,
+    solution_of_level ~nu_class:nu_p premium level_p )
 
 (* Record that CP [i] just moved: the class it left can only see its
    water level rise, the class it joined can only see it fall.  [cap_o]
@@ -204,16 +283,22 @@ let solo_rho eng ~premium ~nu_class cps i =
           Index_tbl.replace memo i rho;
           rho)
 
-let estimate_rho_eng eng ~premium ~nu_class ~occupied cap cps i =
+(* The estimate of CP [i] in one class.  Inlined into the pass loops so
+   the float never leaves a register; a saturated CP reads its rate from
+   the prepared table instead of re-deriving it. *)
+let[@inline] estimate eng ~premium ~nu_class ~occupied cap cps i =
   if Float.equal nu_class 0. then 0.
   else if occupied then
-    (* [Cp.rho] clamps the level into [0, theta_hat]. *)
-    Cp.rho cps.(i) ~theta:cap
+    match eng.prepared with
+    | Some p when cap >= p.theta_hat.(i) -> p.rho_sat.(i)
+    | _ ->
+        (* [Cp.rho] clamps the level into [0, theta_hat]. *)
+        Cp.rho cps.(i) ~theta:cap
   else solo_rho eng ~premium ~nu_class cps i
 
 let estimate_rho (cp : Cp.t) ~nu_class ~occupied cap =
-  estimate_rho_eng (reference_engine ()) ~premium:false ~nu_class ~occupied
-    cap [| cp |] 0
+  estimate (reference_engine ()) ~premium:false ~nu_class ~occupied cap
+    [| cp |] 0
 
 let outcome_of_partition_eng eng ~nu ~strategy cps partition =
   if nu < 0. then invalid_arg "Cp_game.outcome_of_partition: nu < 0";
@@ -221,9 +306,9 @@ let outcome_of_partition_eng eng ~nu ~strategy cps partition =
   if Partition.size partition <> n then
     invalid_arg "Cp_game.outcome_of_partition: partition size mismatch";
   let nu_o, nu_p = class_capacities ~nu ~strategy in
-  let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p cps partition in
-  let ordinary = Partition.ordinary_members partition cps in
-  let premium = Partition.premium_members partition cps in
+  let ordinary, premium, sol_o, sol_p =
+    class_solutions eng ~nu_o ~nu_p cps partition
+  in
   let theta = Array.make n 0. and rho = Array.make n 0. in
   let fill indices (sol : Equilibrium.solution) =
     Array.iteri
@@ -246,7 +331,7 @@ let outcome_of_partition_eng eng ~nu ~strategy cps partition =
     iterations = 0; concept = Competitive 0. }
 
 let outcome_of_partition ~nu ~strategy cps partition =
-  outcome_of_partition_eng (optimized_engine ()) ~nu ~strategy cps partition
+  outcome_of_partition_eng (optimized_engine cps) ~nu ~strategy cps partition
 
 (* One simultaneous best-response round: every CP re-decides against the
    current water levels.  Returns the new membership vector. *)
@@ -254,25 +339,26 @@ let simultaneous_round eng ~nu ~strategy cps partition =
   Po_obs.Metrics.incr m_sync_rounds;
   let nu_o, nu_p = class_capacities ~nu ~strategy in
   let c = Strategy.c strategy in
-  let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p cps partition in
-  let cap_o = entrant_cap ~nu_class:nu_o sol_o in
-  let cap_p = entrant_cap ~nu_class:nu_p sol_p in
+  let cap_o, cap_p = class_levels eng ~nu_o ~nu_p cps partition in
   let occupied_o = Partition.ordinary_count partition > 0 in
   let occupied_p = Partition.premium_count partition > 0 in
-  Partition.of_premium_indicator
-    (Array.init (Array.length cps) (fun i ->
-         let v = cps.(i).Cp.v in
-         let u_ordinary =
-           v
-           *. estimate_rho_eng eng ~premium:false ~nu_class:nu_o
-                ~occupied:occupied_o cap_o cps i
-         in
-         let u_premium =
-           (v -. c)
-           *. estimate_rho_eng eng ~premium:true ~nu_class:nu_p
-                ~occupied:occupied_p cap_p cps i
-         in
-         u_premium > u_ordinary))
+  let n = Array.length cps in
+  let premium = Array.make n false in
+  for i = 0 to n - 1 do
+    let v = cps.(i).Cp.v in
+    let u_ordinary =
+      v
+      *. estimate eng ~premium:false ~nu_class:nu_o ~occupied:occupied_o cap_o
+           cps i
+    in
+    let u_premium =
+      (v -. c)
+      *. estimate eng ~premium:true ~nu_class:nu_p ~occupied:occupied_p cap_p
+           cps i
+    in
+    premium.(i) <- u_premium > u_ordinary
+  done;
+  Partition.of_premium_indicator premium
 
 let default_hysteresis = 1e-3
 
@@ -296,46 +382,40 @@ let asynchronous_pass ?(hysteresis = 0.) eng ~nu ~strategy cps partition =
      whole solve at n = 1000. *)
   let n_total = Partition.size partition in
   let n_premium = ref (Partition.premium_count partition) in
-  let caps = ref None in
-  let current_caps () =
-    match !caps with
-    | Some pair -> pair
-    | None ->
-        let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p cps !current in
-        let pair =
-          (entrant_cap ~nu_class:nu_o sol_o, entrant_cap ~nu_class:nu_p sol_p)
-        in
-        caps := Some pair;
-        pair
-  in
+  let stale = ref true and cap_o = ref 0. and cap_p = ref 0. in
   for i = 0 to Array.length cps - 1 do
-    let cap_o, cap_p = current_caps () in
+    if !stale then begin
+      let o, p = class_levels eng ~nu_o ~nu_p cps !current in
+      cap_o := o;
+      cap_p := p;
+      stale := false
+    end;
     let occupied_o = n_total - !n_premium > 0 in
     let occupied_p = !n_premium > 0 in
     let v = cps.(i).Cp.v in
     let u_ordinary =
       v
-      *. estimate_rho_eng eng ~premium:false ~nu_class:nu_o
-           ~occupied:occupied_o cap_o cps i
+      *. estimate eng ~premium:false ~nu_class:nu_o ~occupied:occupied_o !cap_o
+           cps i
     in
     let u_premium =
       (v -. c)
-      *. estimate_rho_eng eng ~premium:true ~nu_class:nu_p
-           ~occupied:occupied_p cap_p cps i
+      *. estimate eng ~premium:true ~nu_class:nu_p ~occupied:occupied_p !cap_p
+           cps i
     in
     let in_premium = Partition.in_premium !current i in
-    let margin u = Float.abs u *. hysteresis in
     let wants_premium =
-      if in_premium then u_premium >= u_ordinary -. margin u_premium
-      else u_premium > u_ordinary +. margin u_ordinary
+      if in_premium then
+        u_premium >= u_ordinary -. (Float.abs u_premium *. hysteresis)
+      else u_premium > u_ordinary +. (Float.abs u_ordinary *. hysteresis)
     in
     if wants_premium <> in_premium then begin
       Po_obs.Metrics.incr m_moves;
       current := Partition.move !current i ~premium:wants_premium;
       n_premium := !n_premium + (if wants_premium then 1 else -1);
       moved := true;
-      note_move eng ~to_premium:wants_premium ~cap_o ~cap_p;
-      caps := None
+      note_move eng ~to_premium:wants_premium ~cap_o:!cap_o ~cap_p:!cap_p;
+      stale := true
     end
   done;
   (!current, !moved)
@@ -428,9 +508,9 @@ let solve_nash_eng eng ?budget ?init ?(max_rounds = 100) ~nu ~strategy cps =
       match !state with
       | Some s -> s
       | None ->
-          let ordinary = Partition.ordinary_members !current cps in
-          let premium = Partition.premium_members !current cps in
-          let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p cps !current in
+          let ordinary, premium, sol_o, sol_p =
+            class_solutions eng ~nu_o ~nu_p cps !current
+          in
           let s = (ordinary, premium, sol_o, sol_p, class_positions !current) in
           state := Some s;
           s
@@ -481,7 +561,7 @@ let solve_nash_eng eng ?budget ?init ?(max_rounds = 100) ~nu ~strategy cps =
   loop init 0
 
 let solve_nash ?budget ?init ?max_rounds ~nu ~strategy cps =
-  solve_nash_eng (optimized_engine ()) ?budget ?init ?max_rounds ~nu ~strategy
+  solve_nash_eng (optimized_engine cps) ?budget ?init ?max_rounds ~nu ~strategy
     cps
 
 let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy cps =
@@ -586,7 +666,7 @@ let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy cps =
   sync init None 0
 
 let solve ?budget ?init ?max_iter ~nu ~strategy cps =
-  solve_eng (optimized_engine ()) ?budget ?init ?max_iter ~nu ~strategy cps
+  solve_eng (optimized_engine cps) ?budget ?init ?max_iter ~nu ~strategy cps
 
 let solve_reference ?init ?max_iter ~nu ~strategy cps =
   solve_eng (reference_engine ()) ?init ?max_iter ~nu ~strategy cps

@@ -21,26 +21,37 @@ let check_size t cps =
   if Array.length cps <> size t then
     invalid_arg "Partition: CP array size mismatch"
 
-let filter_members t cps keep_premium =
+(* [f i] for every member [i] of the class, in index order: count, then
+   fill one exact-size array. *)
+let filter t keep_premium f =
+  let n = size t in
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    if Bool.equal t.(i) keep_premium then incr m
+  done;
+  if !m = 0 then [||]
+  else begin
+    let out = Array.make !m (f 0) in
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      if Bool.equal t.(i) keep_premium then begin
+        out.(!k) <- f i;
+        incr k
+      end
+    done;
+    out
+  end
+
+let premium_members t cps =
   check_size t cps;
-  let out = ref [] in
-  for i = size t - 1 downto 0 do
-    if t.(i) = keep_premium then out := cps.(i) :: !out
-  done;
-  Array.of_list !out
+  filter t true (Array.get cps)
 
-let premium_members t cps = filter_members t cps true
-let ordinary_members t cps = filter_members t cps false
+let ordinary_members t cps =
+  check_size t cps;
+  filter t false (Array.get cps)
 
-let filter_indices t keep_premium =
-  let out = ref [] in
-  for i = size t - 1 downto 0 do
-    if t.(i) = keep_premium then out := i :: !out
-  done;
-  Array.of_list !out
-
-let premium_indices t = filter_indices t true
-let ordinary_indices t = filter_indices t false
+let premium_indices t = filter t true Fun.id
+let ordinary_indices t = filter t false Fun.id
 
 let move t i ~premium =
   if i < 0 || i >= size t then invalid_arg "Partition.move: index out of bounds";

@@ -22,6 +22,14 @@ let check_weights_n n weights =
 
 let check_weights cps weights = check_weights_n (Array.length cps) weights
 
+(* The weight vector of a population of [n] CPs: validated when given,
+   all ones (max-min fairness) by default. *)
+let resolve_weights n = function
+  | Some w ->
+      check_weights_n n w;
+      w
+  | None -> unit_weights n
+
 (* Observability counters (DESIGN.md §11).  All are incremented once
    per logical solve/decision, independent of which domain runs the
    solve, so snapshots are jobs-invariant; disarmed they cost one
@@ -150,6 +158,17 @@ let tail_term ctx s cap =
   let d = demand_value ctx.s_demand s (theta /. th) in
   ctx.s_alpha.(s) *. (d *. theta)
 
+(* [prefix.(k)] = left fold of [sat.(0..k-1)]. *)
+let prefix_sums sat =
+  let n = Array.length sat in
+  let prefix = Array.make (n + 1) 0. in
+  for s = 0 to n - 1 do
+    prefix.(s + 1) <- prefix.(s) +. sat.(s)
+  done;
+  prefix
+
+(* The sorted-prefix context together with its sort order (sorted
+   position -> population index). *)
 let build_context ~n ~alpha ~theta_hat ~weights ~demand =
   let keys = Array.init n (fun i -> theta_hat i /. weights.(i)) in
   let order = sort_order keys in
@@ -166,21 +185,10 @@ let build_context ~n ~alpha ~theta_hat ~weights ~demand =
      (theta pinned to theta_hat), exactly the record path's
      [Cp.lambda_per_capita cp ~theta:theta_hat]. *)
   let sat = Array.init n (fun s -> tail_term ctx_no_sat s Float.infinity) in
-  let sat_prefix = Array.make (n + 1) 0. in
-  for s = 0 to n - 1 do
-    sat_prefix.(s + 1) <- sat_prefix.(s) +. sat.(s)
-  done;
-  { ctx_no_sat with sat; sat_prefix }
+  ({ ctx_no_sat with sat; sat_prefix = prefix_sums sat }, order)
 
-let context ?weights cps =
+let sorted_context weights cps =
   let n = Array.length cps in
-  let weights =
-    match weights with
-    | Some w ->
-        check_weights cps w;
-        w
-    | None -> unit_weights n
-  in
   (* The exponential family gets the closure-free column evaluator; any
      other demand keeps its closure (both arms are bit-identical to the
      record path, the Dexp one is just faster). *)
@@ -204,6 +212,9 @@ let context ?weights cps =
     ~theta_hat:(fun i -> cps.(i).Cp.theta_hat)
     ~weights ~demand
 
+let context ?weights cps =
+  fst (sorted_context (resolve_weights (Array.length cps) weights) cps)
+
 let context_soa ?weights soa =
   let n = Cp_soa.length soa in
   let weights =
@@ -213,12 +224,75 @@ let context_soa ?weights soa =
         w
     | None -> unit_weights n
   in
-  build_context ~n
-    ~alpha:(Cp_soa.alpha soa)
-    ~theta_hat:(Cp_soa.theta_hat soa)
-    ~weights
-    ~demand:(fun order ->
-      Dexp (Array.map (fun i -> Cp_soa.beta soa i) order))
+  fst
+    (build_context ~n
+       ~alpha:(Cp_soa.alpha soa)
+       ~theta_hat:(Cp_soa.theta_hat soa)
+       ~weights
+       ~demand:(fun order ->
+         Dexp (Array.map (fun i -> Cp_soa.beta soa i) order)))
+
+let prefix_table ctx = (ctx.thresholds, ctx.sat_prefix)
+
+(* ------------------------------------------------------------------ *)
+(* Prepared population: one sort, restricted per member set           *)
+(* ------------------------------------------------------------------ *)
+
+(* A population sorted once, whose member subsets get their contexts by
+   restriction instead of a fresh sort.  Restricting the (key, index)
+   order to a member set lists the members by (key, population index);
+   a member array keeps population order, so its own (key, position)
+   order is the same sequence — ties included — and every column, [sat]
+   value and prefix fold comes out bit-identical to [context members]. *)
+type population = { full : context; order : int array }
+
+let population cps =
+  let full, order = sorted_context (unit_weights (Array.length cps)) cps in
+  { full; order }
+
+(* [col.(s)] for the kept sorted positions, in order.  Float columns get
+   their own copy of the loop: a polymorphic read boxes every float. *)
+let select_floats keep m (col : float array) =
+  let out = Array.make m 0. in
+  let k = ref 0 in
+  Array.iteri
+    (fun s kept ->
+      if kept then begin
+        out.(!k) <- col.(s);
+        incr k
+      end)
+    keep;
+  out
+
+let select keep m col =
+  if m = 0 then [||]
+  else begin
+    let out = Array.make m col.(0) in
+    let k = ref 0 in
+    Array.iteri
+      (fun s kept ->
+        if kept then begin
+          out.(!k) <- col.(s);
+          incr k
+        end)
+      keep;
+    out
+  end
+
+let restrict pop member =
+  let full = pop.full in
+  let keep = Array.map member pop.order in
+  let m = Array.fold_left (fun acc kept -> if kept then acc + 1 else acc) 0 keep in
+  let sat = select_floats keep m full.sat in
+  { thresholds = select_floats keep m full.thresholds; sat;
+    sat_prefix = prefix_sums sat;
+    s_alpha = select_floats keep m full.s_alpha;
+    s_theta_hat = select_floats keep m full.s_theta_hat;
+    s_weights = select_floats keep m full.s_weights;
+    s_demand =
+      (match full.s_demand with
+      | Dexp betas -> Dexp (select_floats keep m betas)
+      | Dfun demands -> Dfun (select keep m demands)) }
 
 (* Number of sorted CPs whose threshold is <= cap (first sorted position
    strictly above the water level). *)
@@ -373,40 +447,53 @@ let solve_congested ?budget ~thresholds ~aggregate ~bracket ~tol ~nu ~n () =
            iterations = outcome.Po_num.Roots.iterations });
   outcome.Po_num.Roots.root
 
-let solve ?budget ?context:ctx ?bracket ?weights ?(tol = 1e-12) ~nu cps =
+(* A context is only valid for the population it was built from; the
+   length is the one property checkable in O(1), and a mismatch would
+   otherwise silently solve another system. *)
+let check_context ctx n =
+  match ctx with
+  | Some c when Array.length c.thresholds <> n ->
+      invalid_arg "Equilibrium: context built for a population of another size"
+  | _ -> ()
+
+let level ?budget ?context:ctx ?bracket ?weights ?(tol = 1e-12) ~nu cps =
   if nu < 0. then invalid_arg "Equilibrium.solve: nu < 0";
   let n = Array.length cps in
-  if n = 0 then empty
+  check_context ctx n;
+  if n = 0 then Float.infinity
   else begin
     Po_obs.Metrics.incr m_solves;
-    let weights =
-      match weights with
-      | Some w ->
-          check_weights cps w;
-          w
-      | None -> unit_weights n
-    in
+    let weights = resolve_weights n weights in
     let unconstrained =
       Array.fold_left (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp) 0. cps
     in
     if nu >= unconstrained then begin
       Po_obs.Metrics.incr m_uncongested;
-      of_cap cps weights ~congested:false Float.infinity
+      Float.infinity
     end
     else begin
       let ctx = match ctx with Some c -> c | None -> context ~weights cps in
-      let cap =
-        solve_congested ?budget ~thresholds:ctx.thresholds
-          ~aggregate:(fun ~cap -> aggregate_sorted ctx ~cap)
-          ~bracket ~tol ~nu ~n ()
-      in
-      of_cap cps weights ~congested:true cap
+      solve_congested ?budget ~thresholds:ctx.thresholds
+        ~aggregate:(fun ~cap -> aggregate_sorted ctx ~cap)
+        ~bracket ~tol ~nu ~n ()
     end
   end
+
+let of_level ?weights cps cap =
+  let n = Array.length cps in
+  if n = 0 then empty
+  else
+    of_cap cps (resolve_weights n weights)
+      ~congested:(not (Float.equal cap Float.infinity))
+      cap
+
+let solve ?budget ?context ?bracket ?weights ?tol ~nu cps =
+  of_level ?weights cps (level ?budget ?context ?bracket ?weights ?tol ~nu cps)
 
 let solve_soa ?budget ?context:ctx ?bracket ?weights ?(tol = 1e-12) ~nu soa =
   if nu < 0. then invalid_arg "Equilibrium.solve_soa: nu < 0";
   let n = Cp_soa.length soa in
+  check_context ctx n;
   if n = 0 then empty
   else begin
     Po_obs.Metrics.incr m_solves;

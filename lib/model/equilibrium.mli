@@ -67,6 +67,25 @@ val context_soa : ?weights:float array -> Cp_soa.t -> context
     materialisation; the resulting context is bit-equivalent to
     [context cps] whenever [soa = Cp_soa.of_cps cps]. *)
 
+val prefix_table : context -> float array * float array
+(** [(thresholds, sat_prefix)]: the ascending saturation thresholds and
+    the prefix sums of the saturated contributions in that order — the
+    tables every aggregate evaluation reads, exposed for differential
+    tests. *)
+
+type population
+(** A population sorted once by saturation threshold (unit weights),
+    from which the context of any member subset is obtained by
+    {!restrict} — an O(n) filter, no sort. *)
+
+val population : Cp.t array -> population
+
+val restrict : population -> (int -> bool) -> context
+(** [restrict pop member] is the context of the CPs whose population
+    index satisfies [member], bit-identical to [context members] where
+    [members] lists them in population order: the restricted sort order
+    coincides with the members' own, ties included (DESIGN.md §9). *)
+
 val solve :
   ?budget:Po_sup.Budget.t -> ?context:context -> ?bracket:float * float ->
   ?weights:float array -> ?tol:float -> nu:float -> Cp.t array -> solution
@@ -76,8 +95,10 @@ val solve :
     on the water level.
 
     [context] reuses a presorted {!context} built from the same [cps] and
-    [weights] (unchecked — a mismatched context silently solves the wrong
-    system).  [bracket] is a warm-start hint [(lo, hi)] for the water
+    [weights].  Only its size is checked: a context built for a
+    population of another length raises [Invalid_argument], while one of
+    the right length built from other CPs silently solves the wrong
+    system.  [bracket] is a warm-start hint [(lo, hi)] for the water
     level, typically the previous solve's cap padded to the known side of
     a monotone perturbation; a hint that does not straddle the root is
     detected in two probes and discarded, and {e any} hint — valid,
@@ -97,6 +118,20 @@ val solve :
     Brent — and surfacing as kind [Deadline_exceeded] or [Cancelled]
     with the same context frames.  A budget never changes a completed
     solve's output. *)
+
+val level :
+  ?budget:Po_sup.Budget.t -> ?context:context -> ?bracket:float * float ->
+  ?weights:float array -> ?tol:float -> nu:float -> Cp.t array -> float
+(** The first half of {!solve}: the water level alone — [infinity] when
+    the system is uncongested or empty — with the same options, errors
+    and counters (one [equilibrium.solves] per non-empty call). *)
+
+val of_level : ?weights:float array -> Cp.t array -> float -> solution
+(** The second half of {!solve}: throughputs, demands, rates and the
+    per-capita rate at a given water level, with no root search and no
+    counter.  [solve ~nu cps = of_level cps (level ~nu cps)], so a level
+    kept from an earlier {!level} call materialises the same bits as a
+    fresh solve. *)
 
 val solve_soa :
   ?budget:Po_sup.Budget.t -> ?context:context -> ?bracket:float * float ->

@@ -172,6 +172,88 @@ let test_eq_empty_and_zero () =
   check_solution "zero capacity" zero (Equilibrium.solve_reference ~nu:0. cps)
 
 (* ------------------------------------------------------------------ *)
+(* Prepared population: restricted contexts vs fresh sorts             *)
+(* ------------------------------------------------------------------ *)
+
+(* Thresholds drawn from a small set so ties are common; [mixed] puts
+   non-exponential demands among the exponential ones, which moves the
+   whole population onto the closure (Dfun) column. *)
+let random_population ~mixed rng n =
+  let module R = Po_prng.Splitmix in
+  Array.init n (fun i ->
+      let theta_hat =
+        [| 0.5; 1.; 2.; 3.5 |].(R.int rng 4)
+        *. if R.bool rng then 1. else 1. +. R.float rng
+      in
+      let demand =
+        if mixed && i mod 3 = 1 then
+          if R.bool rng then Demand.linear else Demand.power ~gamma:2.
+        else Demand.exponential ~beta:(R.uniform rng ~lo:0.1 ~hi:5.)
+      in
+      Cp.make ~id:i ~alpha:(R.uniform rng ~lo:0.1 ~hi:1.) ~theta_hat ~demand
+        ~v:(R.float rng) ())
+
+let members_of mask cps =
+  Array.of_list
+    (List.filteri (fun i _ -> mask.(i)) (Array.to_list cps))
+
+let test_restricted_context () =
+  let rng = Po_prng.Splitmix.of_int 41 in
+  List.iter
+    (fun (mixed, n) ->
+      let cps = random_population ~mixed rng n in
+      let pop = Equilibrium.population cps in
+      let masks =
+        [ ("random", Array.init n (fun _ -> Po_prng.Splitmix.bool rng));
+          ("empty", Array.make n false);
+          ("singleton", Array.init n (fun i -> i = n / 2));
+          ("full", Array.make n true) ]
+      in
+      List.iter
+        (fun (label, mask) ->
+          let name = Printf.sprintf "mixed=%b n=%d %s" mixed n label in
+          let members = members_of mask cps in
+          let restricted = Equilibrium.restrict pop (Array.get mask) in
+          let fresh = Equilibrium.context members in
+          let thresholds, sat_prefix = Equilibrium.prefix_table restricted in
+          let thresholds', sat_prefix' = Equilibrium.prefix_table fresh in
+          check_bits_array (name ^ " thresholds") thresholds thresholds';
+          check_bits_array (name ^ " sat_prefix") sat_prefix sat_prefix';
+          let unconstrained =
+            Array.fold_left
+              (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp)
+              0. members
+          in
+          List.iter
+            (fun frac ->
+              let nu = frac *. unconstrained in
+              check_solution
+                (Printf.sprintf "%s nu=%g" name nu)
+                (Equilibrium.solve ~context:restricted ~nu members)
+                (Equilibrium.solve ~context:fresh ~nu members))
+            [ 0.; 0.05; 0.3; 0.7; 0.99; 1.5 ])
+        masks)
+    [ (false, 40); (true, 40); (false, 7); (true, 13); (true, 1) ]
+
+let test_context_size_checked () =
+  let cps = ensemble ~n:20 37 in
+  let context = Equilibrium.context (Array.sub cps 0 12) in
+  let nu = 0.5 *. Po_workload.Ensemble.saturation_nu cps in
+  (match Equilibrium.solve_checked ~context ~nu cps with
+  | Error { Po_guard.Po_error.kind = Po_guard.Po_error.Invalid_scenario _; _ }
+    ->
+      ()
+  | Error e ->
+      Alcotest.failf "expected Invalid_scenario, got %s"
+        (Po_guard.Po_error.to_string e)
+  | Ok _ -> Alcotest.fail "context of another size accepted");
+  Alcotest.check_raises "solve_soa"
+    (Invalid_argument
+       "Equilibrium: context built for a population of another size")
+    (fun () ->
+      ignore (Equilibrium.solve_soa ~context ~nu (Cp_soa.of_cps cps)))
+
+(* ------------------------------------------------------------------ *)
 (* CP game: caching/warm-started engine vs cold reference engine       *)
 (* ------------------------------------------------------------------ *)
 
@@ -273,6 +355,64 @@ let test_game_zero_capacity () =
   check_outcome "nu=0"
     (Cp_game.solve ~nu:0. ~strategy cps)
     (Cp_game.solve_reference ~nu:0. ~strategy cps)
+
+(* Number of prepared-population builds since the last metrics reset:
+   the observation count of the build-time histogram. *)
+let population_builds () =
+  match
+    List.assoc_opt "cp_game.population_build_s" (Po_obs.Metrics.snapshot ())
+  with
+  | Some (Po_obs.Metrics.Histogram { counts; _ }) ->
+      Array.fold_left ( + ) 0 counts
+  | _ -> 0
+
+let with_metrics f =
+  Po_obs.Metrics.reset ();
+  Po_obs.Metrics.arm ();
+  Fun.protect ~finally:Po_obs.Metrics.disarm f
+
+let test_prepared_population_shared () =
+  (* Every game of one best response runs on the same array, so the
+     market is sorted once for all of them. *)
+  let cps = ensemble ~n:14 51 in
+  let config =
+    Duopoly.config ~nu:(0.85 *. Po_workload.Ensemble.saturation_nu cps)
+      ~strategy_i:Strategy.public_option ()
+  in
+  let builds =
+    with_metrics (fun () ->
+        ignore (Duopoly.best_response_market_share ~config cps);
+        population_builds ())
+  in
+  Alcotest.(check int) "one build per best response" 1 builds
+
+let test_prepared_population_invalidated () =
+  (* The per-domain slot must never serve a stale population: not after
+     the caller overwrites a slot of the same array, nor for another
+     array of the same length. *)
+  let cps = ensemble ~n:30 53 in
+  let other = ensemble ~n:30 54 in
+  let sat = Po_workload.Ensemble.saturation_nu cps in
+  let strategy = Strategy.make ~kappa:0.4 ~c:0.3 in
+  let nu = 0.4 *. sat in
+  let game name cps =
+    check_outcome name
+      (Cp_game.solve ~nu ~strategy cps)
+      (Cp_game.solve_reference ~nu ~strategy cps)
+  in
+  let builds =
+    with_metrics (fun () ->
+        game "original" cps;
+        game "original again" cps;
+        List.iter
+          (fun i ->
+            cps.(i) <- other.(i);
+            game (Printf.sprintf "slot %d overwritten" i) cps)
+          [ 0; 17; 29 ];
+        game "other array" other;
+        population_builds ())
+  in
+  Alcotest.(check int) "rebuilt on every change only" 5 builds
 
 (* ------------------------------------------------------------------ *)
 (* Chained sweeps: chunk layout independent of the pool                *)
@@ -448,14 +588,19 @@ let () =
           quick "all-saturated ensembles" test_eq_all_saturated;
           quick "single CP" test_eq_single_cp;
           quick "threshold ties" test_eq_threshold_ties;
-          quick "empty and zero capacity" test_eq_empty_and_zero ] );
+          quick "empty and zero capacity" test_eq_empty_and_zero;
+          quick "restricted contexts bit-identical" test_restricted_context;
+          quick "context size checked" test_context_size_checked ] );
       ( "cp_game",
         [ quick "random ensembles bit-identical" test_game_differential;
           quick "small populations bit-identical"
             test_game_differential_small;
           quick "nash solver bit-identical" test_game_nash_differential;
           quick "repeated CP ids" test_game_repeated_ids;
-          quick "zero capacity" test_game_zero_capacity ] );
+          quick "zero capacity" test_game_zero_capacity;
+          quick "prepared population shared" test_prepared_population_shared;
+          quick "prepared population invalidated"
+            test_prepared_population_invalidated ] );
       ( "sweeps",
         [ quick "chain_map pool-invariant" test_chain_map_matches_serial;
           quick "monopoly sweeps pool-invariant"
