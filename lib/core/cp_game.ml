@@ -73,16 +73,29 @@ let class_capacities ~nu ~strategy =
 (* ------------------------------------------------------------------ *)
 
 (* What every game over one market shares: the population sorted once
-   (each class context is a restriction of it, DESIGN.md §9), and each
-   CP's saturation threshold and per-user rate at saturation.  A
+   and its two class contexts, refilled in place (DESIGN.md §9); each
+   CP's saturation threshold and per-user rate at saturation; and the
+   Zobrist table that keys the engines' partition tables.  A
    throughput-taking estimate at a level [cap >= theta_hat_i] is exactly
    [rho_sat.(i)], since [Cp.rho] clamps the level to [theta_hat_i]
-   first. *)
+   first.
+
+   [built] is the partition the class contexts are kept in step with: a
+   context holds the class at some earlier partition that agrees with
+   [built] on every sorted rank below its [dirty_*] mark ([n]: fully in
+   step).  A single-CP move away from [built] lowers both marks to the
+   CP's rank; any other partition restarts both at rank 0. *)
 type prepared = {
   source : Cp.t array;  (* private copy of the caller's array *)
   population : Equilibrium.population;
   theta_hat : float array;
   rho_sat : float array;  (* [Cp.rho cp ~theta:cp.theta_hat] *)
+  zobrist : int array;
+  ctx_o : Equilibrium.context;
+  ctx_p : Equilibrium.context;
+  mutable built : Partition.t option;
+  mutable dirty_o : int;
+  mutable dirty_p : int;
 }
 
 (* A timing histogram rather than a counter: builds happen once per
@@ -110,15 +123,38 @@ let prepare cps =
   | _ ->
       let p =
         Po_obs.Metrics.time_s m_population_build (fun () ->
-            { source = Array.copy cps;
-              population = Equilibrium.population cps;
+            let population = Equilibrium.population cps in
+            { source = Array.copy cps; population;
               theta_hat = Array.map (fun (cp : Cp.t) -> cp.Cp.theta_hat) cps;
               rho_sat =
                 Array.map (fun (cp : Cp.t) -> Cp.rho cp ~theta:cp.Cp.theta_hat)
-                  cps })
+                  cps;
+              zobrist = Partition.zobrist (Array.length cps);
+              ctx_o = Equilibrium.class_context population;
+              ctx_p = Equilibrium.class_context population;
+              built = None; dirty_o = 0; dirty_p = 0 })
       in
       slot := Some p;
       p
+
+(* The context of one class at [partition], refilled from the lowest
+   rank that may have changed since the context was last filled. *)
+let class_context p ~premium partition =
+  let from =
+    match p.built with
+    | Some b when b == partition -> if premium then p.dirty_p else p.dirty_o
+    | _ ->
+        p.built <- Some partition;
+        p.dirty_o <- 0;
+        p.dirty_p <- 0;
+        0
+  in
+  let ctx = if premium then p.ctx_p else p.ctx_o in
+  Equilibrium.refill p.population ctx (Partition.mask partition) ~keep:premium
+    ~from;
+  let clean = Partition.size partition in
+  if premium then p.dirty_p <- clean else p.dirty_o <- clean;
+  ctx
 
 (* ------------------------------------------------------------------ *)
 (* Solver engine                                                      *)
@@ -127,15 +163,19 @@ let prepare cps =
 (* One engine lives for the duration of one equilibrium search.  It owns
 
    - the equilibrium kernel behind every class re-solve: levels found
-     over contexts restricted from the prepared population, or the
-     retained {!Equilibrium.solve_reference} for differential testing,
+     on the prepared population's class contexts, refilled in place, or
+     the retained {!Equilibrium.solve_reference} for differential
+     testing,
    - a partition-keyed memo of class water levels — the phases of the
      search revisit partitions (cycle iterates, the finishing
      [outcome_of_partition], quiescent passes), and a class re-solve is
      a pure function of the membership.  The passes need only the
      levels; the outcome and the Nash pass materialise full solutions
      from them with {!Equilibrium.of_level}, which is the second half of
-     {!Equilibrium.solve} and so replays the same bits,
+     {!Equilibrium.solve} and so replays the same bits.  The memo is a
+     {!Partition.Table}: keyed by the Zobrist hash of the partition and
+     confirmed by exact comparison of its packed membership, both of
+     which the engine keeps with one flip per move,
    - a per-class solo-entrant memo: the rate an entrant anticipates in
      an {e empty} class is its solo equilibrium, a pure function of
      (CP, nu_class) re-requested for every CP every round,
@@ -149,7 +189,6 @@ let prepare cps =
    equilibrium.mli), so an engine with everything enabled matches the
    reference engine bit for bit — test/test_perf_kernel.ml holds it to
    that. *)
-module Key_tbl = Hashtbl.Make (String)
 module Index_tbl = Hashtbl.Make (Int)
 
 type engine = {
@@ -160,26 +199,43 @@ type engine = {
   (* R2-audit (no directive needed; only find_opt/add/mem/replace): all three engine tables are pure memos
      used through find_opt/replace only, never iterated, so Hashtbl order
      cannot reach any result. *)
-  class_memo : (float * float) Key_tbl.t option;
+  class_memo : (float * float) Partition.Table.t option;
   solo_o : float Index_tbl.t option;  (* CP index -> solo rho at nu_o *)
   solo_p : float Index_tbl.t option;
   mutable hint_o : (float * float) option;
   mutable hint_p : (float * float) option;
+  (* The table key of [keyed], the last partition looked up, carried
+     across moves. *)
+  key : Partition.Key.t;
+  mutable keyed : Partition.t option;
 }
 
 let optimized_engine cps =
+  let p = prepare cps in
   { kernel = (fun ~bracket ~nu cps -> Equilibrium.solve ?bracket ~nu cps);
-    prepared = Some (prepare cps);
-    class_memo = Some (Key_tbl.create 64);
+    prepared = Some p;
+    class_memo = Some (Partition.Table.create 64);
     solo_o = Some (Index_tbl.create 64);
     solo_p = Some (Index_tbl.create 64);
-    hint_o = None; hint_p = None }
+    hint_o = None; hint_p = None; key = Partition.Key.create p.zobrist;
+    keyed = None }
 
-let reference_engine () =
+let reference_engine n =
   { kernel =
       (fun ~bracket:_ ~nu cps -> Equilibrium.solve_reference ~nu cps);
     prepared = None; class_memo = None; solo_o = None; solo_p = None;
-    hint_o = None; hint_p = None }
+    hint_o = None; hint_p = None;
+    key = Partition.Key.create (Partition.zobrist n); keyed = None }
+
+(* The table key of [partition]: carried from the last move when it is
+   the partition the engine moved to, else loaded afresh. *)
+let partition_key eng partition =
+  (match eng.keyed with
+  | Some p when p == partition -> ()
+  | _ ->
+      Partition.Key.set eng.key partition;
+      eng.keyed <- Some partition);
+  eng.key
 
 (* Water level of one class at a partition.  A class without capacity
    has level 0, which is also the level an entrant perceives there. *)
@@ -188,23 +244,21 @@ let class_level eng ~premium ~nu_class cps partition =
   else begin
     let bracket = if premium then eng.hint_p else eng.hint_o in
     if premium then eng.hint_p <- None else eng.hint_o <- None;
-    let members =
-      (if premium then Partition.premium_members
-       else Partition.ordinary_members)
-        partition cps
-    in
     match eng.prepared with
-    | None -> (eng.kernel ~bracket ~nu:nu_class members).Equilibrium.cap
-    | Some p ->
-        let context =
-          Equilibrium.restrict p.population (fun i ->
-              Bool.equal (Partition.in_premium partition i) premium)
+    | None ->
+        let members =
+          (if premium then Partition.premium_members
+           else Partition.ordinary_members)
+            partition cps
         in
-        Equilibrium.level ~context ?bracket ~nu:nu_class members
+        (eng.kernel ~bracket ~nu:nu_class members).Equilibrium.cap
+    | Some p ->
+        Equilibrium.level ?bracket ~nu:nu_class
+          (class_context p ~premium partition)
   end
 
-(* Both class levels at a partition, memoised on the membership key
-   (with a fixed population the key pins both member sets). *)
+(* Both class levels at a partition, memoised on the membership (with a
+   fixed population it pins both member sets). *)
 let class_levels eng ~nu_o ~nu_p cps partition =
   let compute () =
     let level_o = class_level eng ~premium:false ~nu_class:nu_o cps partition in
@@ -214,15 +268,15 @@ let class_levels eng ~nu_o ~nu_p cps partition =
   match eng.class_memo with
   | None -> compute ()
   | Some memo -> (
-      let key = Partition.key partition in
-      match Key_tbl.find_opt memo key with
+      let key = partition_key eng partition in
+      match Partition.Table.find_opt memo key with
       | Some pair ->
           Po_obs.Metrics.incr m_class_hits;
           pair
       | None ->
           Po_obs.Metrics.incr m_class_misses;
           let pair = compute () in
-          Key_tbl.replace memo key pair;
+          Partition.Table.add memo key pair;
           pair)
 
 let solution_of_level ~nu_class members level =
@@ -238,25 +292,34 @@ let class_solutions eng ~nu_o ~nu_p cps partition =
     solution_of_level ~nu_class:nu_o ordinary level_o,
     solution_of_level ~nu_class:nu_p premium level_p )
 
-(* Record that CP [i] just moved: the class it left can only see its
-   water level rise, the class it joined can only see it fall.  [cap_o]
-   and [cap_p] are the entrant caps {e before} the move; non-finite or
-   zero levels (empty, uncongested or capacity-less classes) carry no
-   information and leave the next solve cold. *)
-let note_move eng ~to_premium ~cap_o ~cap_p =
+(* Record that CP [i] just moved, taking [before] to [after]: the class
+   it left can only see its water level rise, the class it joined can
+   only see it fall.  [cap_o] and [cap_p] are the entrant caps {e before}
+   the move; non-finite or zero levels (empty, uncongested or
+   capacity-less classes) carry no information and leave the next solve
+   cold.  A table key or class contexts kept in step with [before]
+   follow the move: one flip, and the CP's rank as the lowest that
+   changed. *)
+let note_move eng ~before ~after i ~to_premium ~cap_o ~cap_p =
   let one_sided ~rising cap =
     if Float.is_finite cap && cap > 0. then
       Some (if rising then (cap, Float.infinity) else (0., cap))
     else None
   in
-  if to_premium then begin
-    eng.hint_o <- one_sided ~rising:true cap_o;
-    eng.hint_p <- one_sided ~rising:false cap_p
-  end
-  else begin
-    eng.hint_o <- one_sided ~rising:false cap_o;
-    eng.hint_p <- one_sided ~rising:true cap_p
-  end
+  eng.hint_o <- one_sided ~rising:to_premium cap_o;
+  eng.hint_p <- one_sided ~rising:(not to_premium) cap_p;
+  (match eng.keyed with
+  | Some p when p == before ->
+      Partition.Key.flip eng.key i;
+      eng.keyed <- Some after
+  | _ -> ());
+  match eng.prepared with
+  | Some ({ built = Some b; _ } as p) when b == before ->
+      let r = Equilibrium.rank p.population i in
+      p.built <- Some after;
+      p.dirty_o <- min p.dirty_o r;
+      p.dirty_p <- min p.dirty_p r
+  | _ -> ()
 
 (* Throughput-taking estimate (Assumption 3) of the per-user rate a CP
    expects in a class whose current water level is [cap].  An {e empty}
@@ -265,10 +328,17 @@ let note_move eng ~to_premium ~cap_o ~cap_p =
    entrant anticipates its own solo equilibrium there instead.  Solo
    equilibria depend only on (CP, nu_class); the engine memoises them by
    the CP's index in the population, never by [Cp.id], which callers may
-   repeat. *)
+   repeat.  A class capacity that covers the CP's unconstrained rate
+   leaves it saturated alone, and the solve would only rederive the
+   prepared [rho_sat.(i)]: the uncongested solution at an infinite level
+   is [Cp.demand_at cp theta_hat *. theta_hat], the same product. *)
 let solo_rho eng ~premium ~nu_class cps i =
   let compute () =
-    (eng.kernel ~bracket:None ~nu:nu_class [| cps.(i) |]).Equilibrium.rho.(0)
+    match eng.prepared with
+    | Some p when nu_class >= Cp.lambda_hat_per_capita cps.(i) -> p.rho_sat.(i)
+    | _ ->
+        let sol = eng.kernel ~bracket:None ~nu:nu_class [| cps.(i) |] in
+        sol.Equilibrium.rho.(0)
   in
   match if premium then eng.solo_p else eng.solo_o with
   | None -> compute ()
@@ -296,8 +366,9 @@ let[@inline] estimate eng ~premium ~nu_class ~occupied cap cps i =
         Cp.rho cps.(i) ~theta:cap
   else solo_rho eng ~premium ~nu_class cps i
 
+(* The audits' single-CP engines key no partition: size 0. *)
 let estimate_rho (cp : Cp.t) ~nu_class ~occupied cap =
-  estimate (reference_engine ()) ~premium:false ~nu_class ~occupied cap
+  estimate (reference_engine 0) ~premium:false ~nu_class ~occupied cap
     [| cp |] 0
 
 let outcome_of_partition_eng eng ~nu ~strategy cps partition =
@@ -411,10 +482,12 @@ let asynchronous_pass ?(hysteresis = 0.) eng ~nu ~strategy cps partition =
     in
     if wants_premium <> in_premium then begin
       Po_obs.Metrics.incr m_moves;
-      current := Partition.move !current i ~premium:wants_premium;
+      let before = !current in
+      current := Partition.move before i ~premium:wants_premium;
       n_premium := !n_premium + (if wants_premium then 1 else -1);
       moved := true;
-      note_move eng ~to_premium:wants_premium ~cap_o:!cap_o ~cap_p:!cap_p;
+      note_move eng ~before ~after:!current i ~to_premium:wants_premium
+        ~cap_o:!cap_o ~cap_p:!cap_p;
       stale := true
     end
   done;
@@ -459,7 +532,7 @@ let expost_rho_eng eng ~nu_class ~cap_hint members cp =
   end
 
 let expost_rho ~nu_class members cp =
-  expost_rho_eng (reference_engine ()) ~nu_class ~cap_hint:Float.nan members cp
+  expost_rho_eng (reference_engine 0) ~nu_class ~cap_hint:Float.nan members cp
 
 (* Position of every CP inside its class's member array — shared by the
    Nash pass and audits, replacing the per-CP linear rediscovery that
@@ -537,9 +610,10 @@ let solve_nash_eng eng ?budget ?init ?(max_rounds = 100) ~nu ~strategy cps =
       in
       if wants_premium <> Partition.in_premium !current i then begin
         Po_obs.Metrics.incr m_moves;
-        current := Partition.move !current i ~premium:wants_premium;
+        let before = !current in
+        current := Partition.move before i ~premium:wants_premium;
         moved := true;
-        note_move eng ~to_premium:wants_premium
+        note_move eng ~before ~after:!current i ~to_premium:wants_premium
           ~cap_o:(entrant_cap ~nu_class:nu_o sol_o)
           ~cap_p:(entrant_cap ~nu_class:nu_p sol_p);
         state := None
@@ -577,7 +651,7 @@ let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy cps =
   (* R2-audit (no directive needed; only find_opt/add/mem/replace): cycle-detection set over partition keys;
      only mem/add are used, nothing is ever iterated, so Hashtbl order
      cannot influence which partition the solver settles on. *)
-  let seen = Key_tbl.create 64 in
+  let seen = Partition.Table.create 64 in
   let finish ?(tolerance = 0.) partition ~converged ~iterations =
     { (outcome_of_partition_eng eng ~nu ~strategy cps partition) with
       converged; iterations; concept = Competitive tolerance }
@@ -639,8 +713,8 @@ let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy cps =
     check_budget budget ~nu ~strategy;
     if n >= max_iter then finish partition ~converged:false ~iterations:n
     else begin
-      let key = Partition.key partition in
-      if Key_tbl.mem seen key then begin
+      let key = partition_key eng partition in
+      if Option.is_some (Partition.Table.find_opt seen key) then begin
         Log.debug (fun m ->
             m "cycle detected after %d simultaneous rounds at nu=%g %s" n nu
               (Strategy.to_string strategy));
@@ -655,7 +729,7 @@ let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy cps =
         async start n 0
       end
       else begin
-        Key_tbl.add seen key ();
+        Partition.Table.add seen key ();
         let partition' = simultaneous_round eng ~nu ~strategy cps partition in
         if Partition.equal partition partition' then
           finish partition' ~converged:true ~iterations:(n + 1)
@@ -669,10 +743,12 @@ let solve ?budget ?init ?max_iter ~nu ~strategy cps =
   solve_eng (optimized_engine cps) ?budget ?init ?max_iter ~nu ~strategy cps
 
 let solve_reference ?init ?max_iter ~nu ~strategy cps =
-  solve_eng (reference_engine ()) ?init ?max_iter ~nu ~strategy cps
+  solve_eng (reference_engine (Array.length cps)) ?init ?max_iter ~nu ~strategy
+    cps
 
 let solve_nash_reference ?init ?max_rounds ~nu ~strategy cps =
-  solve_nash_eng (reference_engine ()) ?init ?max_rounds ~nu ~strategy cps
+  solve_nash_eng (reference_engine (Array.length cps)) ?init ?max_rounds ~nu
+    ~strategy cps
 
 (* ------------------------------------------------------------------ *)
 (* Typed error channel (DESIGN.md §10)                                *)

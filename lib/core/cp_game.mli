@@ -86,17 +86,20 @@ val solve :
     outcome.
 
     Internally the search runs on an {e engine} that memoises class
-    water levels by partition key, memoises solo-entrant equilibria by the
-    CP's index in [cps] (never by [Cp.id], which may repeat), and
-    warm-starts every class re-solve after a single-CP move from a
-    one-sided bracket around the previous water level (the level moves
-    monotonically when one CP enters or leaves; DESIGN.md §9).  Class
-    contexts are restricted from a {e prepared population} — [cps]
-    sorted once and its saturated rates tabulated — kept in a one-slot
-    per-domain cache, so consecutive games on the same CPs (a best
-    response, a sweep chunk) share one sort; the slot is revalidated by
-    physical equality of every element, so mutating [cps] between calls
-    is safe.  All of these are bit-transparent, so {!solve} agrees with
+    water levels by partition (a Zobrist hash kept with one XOR per
+    move, every hit confirmed against the packed membership), memoises
+    solo-entrant equilibria by the CP's index in [cps] (never by
+    [Cp.id], which may repeat), and warm-starts every class re-solve
+    after a single-CP move from a one-sided bracket around the previous
+    water level (the level moves monotonically when one CP enters or
+    leaves; DESIGN.md §9).  Class contexts are refilled in place from a
+    {e prepared population} — [cps] sorted once, its saturated rates
+    tabulated — starting at the lowest sorted rank that moved since the
+    last refill.  The prepared population sits in a one-slot per-domain
+    cache, so consecutive games on the same CPs (a best response, a
+    sweep chunk) share one sort; the slot is revalidated by physical
+    equality of every element, so mutating [cps] between calls is safe.
+    All of these are bit-transparent, so {!solve} agrees with
     {!solve_reference} bit for bit.
 
     [budget] is a [Po_sup.Budget] deadline/cancellation token

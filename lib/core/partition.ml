@@ -66,7 +66,75 @@ let equal a b =
   let rec same i = i >= n || (Bool.equal a.(i) b.(i) && same (i + 1)) in
   n = Array.length b && same 0
 
-let key t = String.init (size t) (fun i -> if t.(i) then 'P' else 'O')
+let mask t = t
+
+(* ------------------------------------------------------------------ *)
+(* Zobrist hashing and exact-confirmed tables                         *)
+(* ------------------------------------------------------------------ *)
+
+(* One word per CP from a fixed-seed splitmix stream, so hashes (and the
+   tables' bucket layout) are the same on every run. *)
+let zobrist_seed = 0x5A0B
+
+let zobrist n =
+  let rng = Po_prng.Splitmix.of_int zobrist_seed in
+  Array.init n (fun _ -> Int64.to_int (Po_prng.Splitmix.next_int64 rng))
+
+(* The memo key of one partition at a time, kept in step with a search:
+   the Zobrist hash and the membership packed eight CPs to a byte (bit
+   [i land 7] of byte [i lsr 3]).  A move of CP [i] flips table word
+   [i] into the hash and bit [i] of the packed bytes. *)
+module Key = struct
+  type t = { table : int array; mutable hash : int; packed : Bytes.t }
+
+  let create table =
+    { table; hash = 0;
+      packed = Bytes.make ((Array.length table + 7) / 8) '\000' }
+
+  let hash k = k.hash
+
+  let flip k i =
+    k.hash <- k.hash lxor k.table.(i);
+    let b = i lsr 3 in
+    Bytes.unsafe_set k.packed b
+      (Char.unsafe_chr
+         (Char.code (Bytes.unsafe_get k.packed b) lxor (1 lsl (i land 7))))
+
+  let set k t =
+    if Array.length t <> Array.length k.table then
+      invalid_arg "Partition.Key.set: partition size mismatch";
+    k.hash <- 0;
+    Bytes.fill k.packed 0 (Bytes.length k.packed) '\000';
+    Array.iteri (fun i p -> if p then flip k i) t
+end
+
+module Table = struct
+  module Hash_tbl = Hashtbl.Make (Int)
+
+  (* Entries whose hashes collide share a bucket; each keeps a copy of
+     its packed membership, against which every lookup is confirmed
+     exactly. *)
+  type 'a t = (Bytes.t * 'a) list Hash_tbl.t
+
+  let create n = Hash_tbl.create n
+
+  let rec find_in (key : Key.t) = function
+    | [] -> None
+    | (packed, v) :: rest ->
+        if Bytes.equal packed key.Key.packed then Some v else find_in key rest
+
+  let find_opt table (key : Key.t) =
+    match Hash_tbl.find_opt table key.Key.hash with
+    | None -> None
+    | Some bucket -> find_in key bucket
+
+  let add table (key : Key.t) v =
+    let bucket =
+      Option.value ~default:[] (Hash_tbl.find_opt table key.Key.hash)
+    in
+    Hash_tbl.replace table key.Key.hash
+      ((Bytes.copy key.Key.packed, v) :: bucket)
+end
 
 let pp fmt t =
   Format.fprintf fmt "@[<h>{premium: %d/%d}@]" (premium_count t) (size t)

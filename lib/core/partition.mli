@@ -32,7 +32,60 @@ val move : t -> int -> premium:bool -> t
 (** Functional update of one CP's class. *)
 
 val equal : t -> t -> bool
-val key : t -> string
-(** Compact string key (for cycle-detection hash tables). *)
+
+val mask : t -> bool array
+(** The membership vector itself, not a copy: entry [i] is [true] when
+    CP [i] is premium.  Read it, never write it — a partition is
+    immutable. *)
+
+(** {1 Hashing}
+
+    A partition's Zobrist hash is the XOR of one table word per premium
+    CP, so moving CP [i] changes it by exactly [table.(i)]: a search
+    that moves one CP at a time keeps the hash of its current partition
+    with one XOR per move. *)
+
+val zobrist : int -> int array
+(** [zobrist n] is the Zobrist table of partitions of [n] CPs: [n]
+    words drawn from a fixed-seed [Po_prng.Splitmix] stream, the same on
+    every run. *)
+
+(** The table key of one partition at a time: its Zobrist hash and its
+    membership packed one bit per CP, kept in step with a search — {!Key.set}
+    loads a partition in O(n), {!Key.flip} follows a single-CP move in
+    O(1). *)
+module Key : sig
+  type partition := t
+  type t
+
+  val create : int array -> t
+  (** A key over a Zobrist table (see {!zobrist}), holding the
+      all-ordinary partition. *)
+
+  val set : t -> partition -> unit
+  (** Load a partition of the table's size. *)
+
+  val flip : t -> int -> unit
+  (** CP [i] changed class. *)
+
+  val hash : t -> int
+  (** The XOR of [table.(i)] over the premium CPs [i]. *)
+end
+
+(** Tables keyed by partition.  Each entry stores the membership packed
+    one bit per CP, and every lookup is confirmed by exact comparison,
+    so two partitions whose hashes collide are never confused. *)
+module Table : sig
+  type 'a t
+
+  val create : int -> 'a t
+
+  val find_opt : 'a t -> Key.t -> 'a option
+  (** The value bound to exactly the key's partition, if any. *)
+
+  val add : 'a t -> Key.t -> 'a -> unit
+  (** Bind the key's partition, not yet in the table; the entry keeps a
+      copy of the packed membership. *)
+end
 
 val pp : Format.formatter -> t -> unit

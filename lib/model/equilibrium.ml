@@ -53,6 +53,17 @@ let m_hint_discarded = Po_obs.Metrics.counter "equilibrium.bracket_hint_discarde
 let[@inline] fmin x y = if x < y then x else if y < x then y else Float.min x y
 let[@inline] fmax x y = if x > y then x else if y > x then y else Float.max x y
 
+(* [Cp_soa.demand_curve] op for op, kept local for the same reason: the
+   aggregate's tail loop calls it once per unsaturated CP, and the
+   cross-module call boxes every result it returns. *)
+let[@inline] demand_curve ~beta omega =
+  let omega = if omega < 0. then 0. else if omega > 1. then 1. else omega in
+  if omega <= 0. then if Float.equal beta 0. then 1. else 0.
+  else begin
+    let exponent = -.beta *. ((1. /. omega) -. 1.) in
+    if exponent < -60. then 0. else exp exponent
+  end
+
 let theta_at_cap (cp : Cp.t) w cap =
   if Float.equal cap Float.infinity then cp.Cp.theta_hat
   else fmin cp.Cp.theta_hat (w *. cap)
@@ -116,14 +127,26 @@ type demand_col =
       (* per-sorted-position beta of the exponential family *)
   | Dfun of Demand.t array  (* general demands, one closure per position *)
 
+(* A context holds [len] sorted CPs in columns that may be longer: a
+   class context refilled in place (below) keeps the capacity of its
+   whole population, so a column's [Array.length] is not the member
+   count. *)
 type context = {
+  mutable len : int;  (* number of sorted CPs held *)
   thresholds : float array;  (* ascending theta_hat_i / w_i *)
-  sat : float array;  (* contribution of sorted CP s once saturated *)
-  sat_prefix : float array;  (* sat_prefix.(k) = left fold of sat.(0..k-1) *)
+  sat_prefix : float array;
+      (* sat_prefix.(k) = left fold of the saturated contributions of
+         sorted CPs 0..k-1; room for [len + 1] entries *)
   s_alpha : float array;  (* sorted alpha column *)
   s_theta_hat : float array;  (* sorted theta_hat column *)
   s_weights : float array;  (* sorted weight column *)
   s_demand : demand_col;  (* sorted demand parameters *)
+  s_rank : int array;
+      (* rank of each held CP in its prepared population's sort order;
+         empty outside class contexts *)
+  mutable unconstrained : float;
+      (* sum_i alpha_i theta_hat_i folded in population index order —
+         the rate the members would carry uncongested *)
 }
 
 (* Sort order by (key, original index): ties are ordered by original
@@ -144,7 +167,7 @@ let sort_order keys =
    stored closure exactly as the record path did. *)
 let demand_value demand s omega =
   match demand with
-  | Dexp betas -> Cp_soa.demand_curve ~beta:betas.(s) omega
+  | Dexp betas -> demand_curve ~beta:betas.(s) omega
   | Dfun demands -> Demand.eval demands.(s) omega
 
 (* One cap-dependent tail term: exactly [Cp.lambda_per_capita cp
@@ -168,24 +191,28 @@ let prefix_sums sat =
   prefix
 
 (* The sorted-prefix context together with its sort order (sorted
-   position -> population index). *)
-let build_context ~n ~alpha ~theta_hat ~weights ~demand =
+   position -> population index) and the saturated contribution of each
+   sorted CP. *)
+let build_context ~n ~alpha ~theta_hat ~weights ~demand ~unconstrained =
   let keys = Array.init n (fun i -> theta_hat i /. weights.(i)) in
   let order = sort_order keys in
-  let s_alpha = Array.map (fun i -> alpha i) order in
-  let s_theta_hat = Array.map (fun i -> theta_hat i) order in
-  let s_weights = Array.map (fun i -> weights.(i)) order in
-  let thresholds = Array.map (fun i -> keys.(i)) order in
-  let s_demand = demand order in
-  let ctx_no_sat =
-    { thresholds; sat = [||]; sat_prefix = [||]; s_alpha; s_theta_hat;
-      s_weights; s_demand }
+  let ctx =
+    { len = n; thresholds = Array.map (fun i -> keys.(i)) order;
+      sat_prefix = [||];
+      s_alpha = Array.map (fun i -> alpha i) order;
+      s_theta_hat = Array.map (fun i -> theta_hat i) order;
+      s_weights = Array.map (fun i -> weights.(i)) order;
+      s_demand = demand order; s_rank = [||]; unconstrained }
   in
   (* Saturated contribution = the tail term at an infinite water level
      (theta pinned to theta_hat), exactly the record path's
      [Cp.lambda_per_capita cp ~theta:theta_hat]. *)
-  let sat = Array.init n (fun s -> tail_term ctx_no_sat s Float.infinity) in
-  ({ ctx_no_sat with sat; sat_prefix = prefix_sums sat }, order)
+  let sat = Array.init n (fun s -> tail_term ctx s Float.infinity) in
+  ({ ctx with sat_prefix = prefix_sums sat }, order, sat)
+
+(* The unconstrained rate of a record population, in index order. *)
+let unconstrained_of cps =
+  Array.fold_left (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp) 0. cps
 
 let sorted_context weights cps =
   let n = Array.length cps in
@@ -210,94 +237,131 @@ let sorted_context weights cps =
   build_context ~n
     ~alpha:(fun i -> cps.(i).Cp.alpha)
     ~theta_hat:(fun i -> cps.(i).Cp.theta_hat)
-    ~weights ~demand
+    ~weights ~demand ~unconstrained:(unconstrained_of cps)
 
 let context ?weights cps =
-  fst (sorted_context (resolve_weights (Array.length cps) weights) cps)
+  let ctx, _, _ =
+    sorted_context (resolve_weights (Array.length cps) weights) cps
+  in
+  ctx
+
+let unconstrained_soa soa =
+  let acc = ref 0. in
+  for i = 0 to Cp_soa.length soa - 1 do
+    acc := !acc +. Cp_soa.lambda_hat_per_capita soa i
+  done;
+  !acc
 
 let context_soa ?weights soa =
   let n = Cp_soa.length soa in
-  let weights =
-    match weights with
-    | Some w ->
-        check_weights_n n w;
-        w
-    | None -> unit_weights n
+  let ctx, _, _ =
+    build_context ~n
+      ~alpha:(Cp_soa.alpha soa)
+      ~theta_hat:(Cp_soa.theta_hat soa)
+      ~weights:(resolve_weights n weights)
+      ~demand:(fun order ->
+        Dexp (Array.map (fun i -> Cp_soa.beta soa i) order))
+      ~unconstrained:(unconstrained_soa soa)
   in
-  fst
-    (build_context ~n
-       ~alpha:(Cp_soa.alpha soa)
-       ~theta_hat:(Cp_soa.theta_hat soa)
-       ~weights
-       ~demand:(fun order ->
-         Dexp (Array.map (fun i -> Cp_soa.beta soa i) order)))
+  ctx
 
-let prefix_table ctx = (ctx.thresholds, ctx.sat_prefix)
+let prefix_table ctx =
+  (Array.sub ctx.thresholds 0 ctx.len, Array.sub ctx.sat_prefix 0 (ctx.len + 1))
 
 (* ------------------------------------------------------------------ *)
-(* Prepared population: one sort, restricted per member set           *)
+(* Prepared population: one sort, class contexts refilled in place    *)
 (* ------------------------------------------------------------------ *)
 
 (* A population sorted once, whose member subsets get their contexts by
-   restriction instead of a fresh sort.  Restricting the (key, index)
-   order to a member set lists the members by (key, population index);
-   a member array keeps population order, so its own (key, position)
-   order is the same sequence — ties included — and every column, [sat]
-   value and prefix fold comes out bit-identical to [context members]. *)
-type population = { full : context; order : int array }
+   a filtered copy of the sorted columns instead of a fresh sort.
+   Restricting the (key, index) order to a member set lists the members
+   by (key, population index); a member array keeps population order, so
+   its own (key, position) order is the same sequence — ties included —
+   and every column and prefix fold comes out bit-identical to
+   [context members] (DESIGN.md §9). *)
+type population = {
+  full : context;
+  sat : float array;  (* saturated contribution by sorted rank *)
+  order : int array;  (* sorted rank -> population index *)
+  rank : int array;  (* population index -> sorted rank *)
+  lambda_hat : float array;  (* alpha_i theta_hat_i by population index *)
+}
 
 let population cps =
-  let full, order = sorted_context (unit_weights (Array.length cps)) cps in
-  { full; order }
+  let n = Array.length cps in
+  let full, order, sat = sorted_context (unit_weights n) cps in
+  let rank = Array.make n 0 in
+  Array.iteri (fun s i -> rank.(i) <- s) order;
+  { full; sat; order; rank;
+    lambda_hat = Array.map Cp.lambda_hat_per_capita cps }
 
-(* [col.(s)] for the kept sorted positions, in order.  Float columns get
-   their own copy of the loop: a polymorphic read boxes every float. *)
-let select_floats keep m (col : float array) =
-  let out = Array.make m 0. in
-  let k = ref 0 in
-  Array.iteri
-    (fun s kept ->
-      if kept then begin
-        out.(!k) <- col.(s);
-        incr k
-      end)
-    keep;
-  out
+let rank pop i = pop.rank.(i)
 
-let select keep m col =
-  if m = 0 then [||]
-  else begin
-    let out = Array.make m col.(0) in
-    let k = ref 0 in
-    Array.iteri
-      (fun s kept ->
-        if kept then begin
-          out.(!k) <- col.(s);
-          incr k
-        end)
-      keep;
-    out
-  end
-
-let restrict pop member =
-  let full = pop.full in
-  let keep = Array.map member pop.order in
-  let m = Array.fold_left (fun acc kept -> if kept then acc + 1 else acc) 0 keep in
-  let sat = select_floats keep m full.sat in
-  { thresholds = select_floats keep m full.thresholds; sat;
-    sat_prefix = prefix_sums sat;
-    s_alpha = select_floats keep m full.s_alpha;
-    s_theta_hat = select_floats keep m full.s_theta_hat;
-    s_weights = select_floats keep m full.s_weights;
+let class_context pop =
+  let n = Array.length pop.order in
+  { len = 0; thresholds = Array.make n 0.; sat_prefix = Array.make (n + 1) 0.;
+    s_alpha = Array.make n 0.; s_theta_hat = Array.make n 0.;
+    s_weights = Array.make n 0.;
     s_demand =
-      (match full.s_demand with
-      | Dexp betas -> Dexp (select_floats keep m betas)
-      | Dfun demands -> Dfun (select keep m demands)) }
+      (match pop.full.s_demand with
+      | Dexp _ -> Dexp (Array.make n 0.)
+      | Dfun demands -> Dfun (Array.copy demands));
+    s_rank = Array.make n 0; unconstrained = 0. }
+
+(* First held position whose population rank is >= [from]: ranks ascend
+   along a class context. *)
+let restart_position ctx from =
+  let lo = ref 0 and hi = ref ctx.len in
+  while !hi > !lo do
+    let mid = (!lo + !hi) / 2 in
+    if ctx.s_rank.(mid) < from then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let refill pop ctx mask ~keep ~from =
+  let n = Array.length pop.order in
+  if Array.length mask <> n || Array.length ctx.s_rank <> n then
+    invalid_arg "Equilibrium.refill: context or mask of another population";
+  let full = pop.full in
+  (match (full.s_demand, ctx.s_demand) with
+  | Dexp _, Dexp _ | Dfun _, Dfun _ -> ()
+  | _ -> invalid_arg "Equilibrium.refill: context of another population");
+  (* The positions held for ranks below [from] are already right; the
+     rest is recopied, and [sat_prefix] refolded from there on, left to
+     right as [prefix_sums] folds it, so every entry matches a fresh
+     build bit for bit. *)
+  let from = max 0 (min from n) in
+  let k = ref (restart_position ctx from) in
+  for r = from to n - 1 do
+    let i = pop.order.(r) in
+    if Bool.equal mask.(i) keep then begin
+      let j = !k in
+      ctx.thresholds.(j) <- full.thresholds.(r);
+      ctx.s_alpha.(j) <- full.s_alpha.(r);
+      ctx.s_theta_hat.(j) <- full.s_theta_hat.(r);
+      ctx.s_weights.(j) <- full.s_weights.(r);
+      (match (full.s_demand, ctx.s_demand) with
+      | Dexp src, Dexp dst -> dst.(j) <- src.(r)
+      | Dfun src, Dfun dst -> dst.(j) <- src.(r)
+      | _ -> ());
+      ctx.s_rank.(j) <- r;
+      ctx.sat_prefix.(j + 1) <- ctx.sat_prefix.(j) +. pop.sat.(r);
+      k := j + 1
+    end
+  done;
+  ctx.len <- !k;
+  (* The same adds, in the same index order, as [unconstrained_of]
+     over the member array. *)
+  let acc = ref 0. in
+  for i = 0 to n - 1 do
+    if Bool.equal mask.(i) keep then acc := !acc +. pop.lambda_hat.(i)
+  done;
+  ctx.unconstrained <- !acc
 
 (* Number of sorted CPs whose threshold is <= cap (first sorted position
-   strictly above the water level). *)
-let saturated_count thresholds cap =
-  let lo = ref 0 and hi = ref (Array.length thresholds) in
+   strictly above the water level) among the first [len]. *)
+let saturated_count thresholds len cap =
+  let lo = ref 0 and hi = ref len in
   while !hi > !lo do
     let mid = (!lo + !hi) / 2 in
     if thresholds.(mid) <= cap then lo := mid + 1 else hi := mid
@@ -307,8 +371,8 @@ let saturated_count thresholds cap =
 (* Optimized evaluator: prefix-sum lookup + unsaturated tail over flat
    columns. *)
 let aggregate_sorted ctx ~cap =
-  let n = Array.length ctx.thresholds in
-  let k = saturated_count ctx.thresholds cap in
+  let n = ctx.len in
+  let k = saturated_count ctx.thresholds n cap in
   let acc = ref ctx.sat_prefix.(k) in
   (match ctx.s_demand with
   | Dexp betas ->
@@ -318,7 +382,7 @@ let aggregate_sorted ctx ~cap =
         let th = ctx.s_theta_hat.(s) in
         let theta0 = theta_at_cap_col th ctx.s_weights.(s) cap in
         let theta = fmin (fmax theta0 0.) th in
-        let d = Cp_soa.demand_curve ~beta:betas.(s) (theta /. th) in
+        let d = demand_curve ~beta:betas.(s) (theta /. th) in
         acc := !acc +. (ctx.s_alpha.(s) *. (d *. theta))
       done
   | Dfun _ ->
@@ -343,9 +407,11 @@ let aggregate_sorted ctx ~cap =
    without breaking determinism.
 
    [aggregate] closes over its own population data (column context or
-   the reference's record context); only [thresholds] is needed here. *)
-let congested_cap ~thresholds ~aggregate ~bracket ~tol ~nu =
-  let n = Array.length thresholds in
+   the reference's record context); only the first [n] [thresholds] are
+   needed here.  The segment search's values of g at the two segment
+   ends are handed to Brent, which would otherwise evaluate them again
+   to the same bits. *)
+let congested_cap ~thresholds ~n ~aggregate ~bracket ~tol ~nu =
   let grid_point k = if k = 0 then 0. else thresholds.(k - 1) in
   let g cap = aggregate ~cap -. nu in
   let g_at k = g (grid_point k) in
@@ -353,52 +419,70 @@ let congested_cap ~thresholds ~aggregate ~bracket ~tol ~nu =
      — so the zero-capacity check needs no O(n) evaluation. *)
   if Float.equal nu 0. then
     { Po_num.Roots.root = 0.; value = 0.; iterations = 0; converged = true }
-  else if g_at n < 0. then
-    (* Can only happen for demands violating d(1) = 1 (Assumption 1):
-       even a level saturating every CP falls short of nu.  The seed
-       solver raised [Roots.No_bracket] here; since PR 4 the condition
-       travels the typed error channel instead (same taxonomy case). *)
-    Po_guard.Po_error.fail
-      (Po_guard.Po_error.No_bracket
-         (Printf.sprintf
-            "Equilibrium.solve: aggregate at cap_max falls short of nu=%g" nu))
   else begin
+    let g_top = g_at n in
+    if g_top < 0. then
+      (* Can only happen for demands violating d(1) = 1 (Assumption 1):
+         even a level saturating every CP falls short of nu.  The
+         condition travels the typed error channel as [No_bracket], the
+         taxonomy case of [Roots.No_bracket]. *)
+      Po_guard.Po_error.fail
+        (Po_guard.Po_error.No_bracket
+           (Printf.sprintf
+              "Equilibrium.solve: aggregate at cap_max falls short of nu=%g"
+              nu));
     (* Largest k with g(x_k) < 0, sought over [0, n]; a bracket hint that
        provably straddles the sign change narrows the search range, and
-       one that does not is discarded after two cheap probes. *)
-    let lo, hi =
-      match bracket with
-      | None -> (0, n)
-      | Some (b_lo, b_hi) ->
-          let b_lo = Float.max b_lo 0. in
-          let b_hi = Float.min b_hi (grid_point n) in
-          if not (b_lo < b_hi && Float.is_finite b_lo) then begin
-            Po_obs.Metrics.incr m_hint_discarded;
-            (0, n)
-          end
-          else begin
-            let k_lo = saturated_count thresholds b_lo in
-            let k_hi =
-              (* Smallest k with grid_point k >= b_hi. *)
-              min n (saturated_count thresholds b_hi + 1)
-            in
-            if k_lo < k_hi && g_at k_lo < 0. && g_at k_hi >= 0. then begin
-              Po_obs.Metrics.incr m_hint_used;
-              (k_lo, k_hi)
-            end
-            else begin
-              Po_obs.Metrics.incr m_hint_discarded;
-              (0, n)
-            end
-          end
-    in
-    let lo = ref lo and hi = ref hi in
+       one that does not is discarded after two cheap probes.  [f_lo] and
+       [f_hi] carry g at [lo] and [hi] once evaluated. *)
+    let lo = ref 0 and hi = ref n in
+    let f_lo = ref None and f_hi = ref (Some g_top) in
+    (match bracket with
+    | None -> ()
+    | Some (b_lo, b_hi) ->
+        let b_lo = Float.max b_lo 0. in
+        let b_hi = Float.min b_hi (grid_point n) in
+        if not (b_lo < b_hi && Float.is_finite b_lo) then
+          Po_obs.Metrics.incr m_hint_discarded
+        else begin
+          let k_lo = saturated_count thresholds n b_lo in
+          let k_hi =
+            (* Smallest k with grid_point k >= b_hi. *)
+            min n (saturated_count thresholds n b_hi + 1)
+          in
+          let straddles =
+            k_lo < k_hi
+            &&
+            let g_lo = g_at k_lo in
+            g_lo < 0.
+            &&
+            let g_hi = g_at k_hi in
+            g_hi >= 0.
+            && begin
+                 lo := k_lo;
+                 hi := k_hi;
+                 f_lo := Some g_lo;
+                 f_hi := Some g_hi;
+                 true
+               end
+          in
+          Po_obs.Metrics.incr
+            (if straddles then m_hint_used else m_hint_discarded)
+        end);
     while !hi - !lo > 1 do
       let mid = (!lo + !hi) / 2 in
-      if g_at mid < 0. then lo := mid else hi := mid
+      let g_mid = g_at mid in
+      if g_mid < 0. then begin
+        lo := mid;
+        f_lo := Some g_mid
+      end
+      else begin
+        hi := mid;
+        f_hi := Some g_mid
+      end
     done;
-    Po_num.Roots.brent ~tol ~max_iter:200 ~f:g ~lo:(grid_point !lo)
-      ~hi:(grid_point !hi) ()
+    Po_num.Roots.brent ~tol ~max_iter:200 ?f_lo:!f_lo ?f_hi:!f_hi ~f:g
+      ~lo:(grid_point !lo) ~hi:(grid_point !hi) ()
   end
 
 (* Shared congested-solve flow: fault site, context frames, the segment
@@ -434,7 +518,7 @@ let solve_congested ?budget ~thresholds ~aggregate ~bracket ~tol ~nu ~n () =
          { residual = Float.infinity; iterations = 0 });
   let outcome =
     Po_guard.Po_error.with_lazy_context frames (fun () ->
-        congested_cap ~thresholds ~aggregate ~bracket ~tol ~nu)
+        congested_cap ~thresholds ~n ~aggregate ~bracket ~tol ~nu)
   in
   (* The seed discarded [converged] and used the last iterate; a
      water level that silently missed its tolerance would poison
@@ -447,37 +531,39 @@ let solve_congested ?budget ~thresholds ~aggregate ~bracket ~tol ~nu ~n () =
            iterations = outcome.Po_num.Roots.iterations });
   outcome.Po_num.Roots.root
 
+(* The water level of a non-empty system: [infinity] when [nu] covers
+   the unconstrained rate, else the congested root over the context,
+   which [ctx] builds only then.  One [equilibrium.solves] per call. *)
+let find_level ?budget ~bracket ~tol ~nu ~unconstrained ~n ctx =
+  Po_obs.Metrics.incr m_solves;
+  if nu >= unconstrained then begin
+    Po_obs.Metrics.incr m_uncongested;
+    Float.infinity
+  end
+  else begin
+    let ctx = ctx () in
+    solve_congested ?budget ~thresholds:ctx.thresholds
+      ~aggregate:(fun ~cap -> aggregate_sorted ctx ~cap)
+      ~bracket ~tol ~nu ~n ()
+  end
+
 (* A context is only valid for the population it was built from; the
    length is the one property checkable in O(1), and a mismatch would
    otherwise silently solve another system. *)
 let check_context ctx n =
   match ctx with
-  | Some c when Array.length c.thresholds <> n ->
+  | Some c when c.len <> n ->
       invalid_arg "Equilibrium: context built for a population of another size"
   | _ -> ()
 
-let level ?budget ?context:ctx ?bracket ?weights ?(tol = 1e-12) ~nu cps =
-  if nu < 0. then invalid_arg "Equilibrium.solve: nu < 0";
-  let n = Array.length cps in
-  check_context ctx n;
-  if n = 0 then Float.infinity
-  else begin
-    Po_obs.Metrics.incr m_solves;
-    let weights = resolve_weights n weights in
-    let unconstrained =
-      Array.fold_left (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp) 0. cps
-    in
-    if nu >= unconstrained then begin
-      Po_obs.Metrics.incr m_uncongested;
-      Float.infinity
-    end
-    else begin
-      let ctx = match ctx with Some c -> c | None -> context ~weights cps in
-      solve_congested ?budget ~thresholds:ctx.thresholds
-        ~aggregate:(fun ~cap -> aggregate_sorted ctx ~cap)
-        ~bracket ~tol ~nu ~n ()
-    end
-  end
+let check_nu nu = if nu < 0. then invalid_arg "Equilibrium.solve: nu < 0"
+
+let level ?budget ?bracket ?(tol = 1e-12) ~nu ctx =
+  check_nu nu;
+  if ctx.len = 0 then Float.infinity
+  else
+    find_level ?budget ~bracket ~tol ~nu ~unconstrained:ctx.unconstrained
+      ~n:ctx.len (fun () -> ctx)
 
 let of_level ?weights cps cap =
   let n = Array.length cps in
@@ -487,8 +573,20 @@ let of_level ?weights cps cap =
       ~congested:(not (Float.equal cap Float.infinity))
       cap
 
-let solve ?budget ?context ?bracket ?weights ?tol ~nu cps =
-  of_level ?weights cps (level ?budget ?context ?bracket ?weights ?tol ~nu cps)
+let solve ?budget ?context:ctx ?bracket ?weights ?(tol = 1e-12) ~nu cps =
+  check_nu nu;
+  let n = Array.length cps in
+  check_context ctx n;
+  if n = 0 then empty
+  else begin
+    let weights = resolve_weights n weights in
+    let cap =
+      find_level ?budget ~bracket ~tol ~nu ~unconstrained:(unconstrained_of cps)
+        ~n (fun () ->
+          match ctx with Some c -> c | None -> context ~weights cps)
+    in
+    of_cap cps weights ~congested:(not (Float.equal cap Float.infinity)) cap
+  end
 
 let solve_soa ?budget ?context:ctx ?bracket ?weights ?(tol = 1e-12) ~nu soa =
   if nu < 0. then invalid_arg "Equilibrium.solve_soa: nu < 0";
@@ -496,36 +594,13 @@ let solve_soa ?budget ?context:ctx ?bracket ?weights ?(tol = 1e-12) ~nu soa =
   check_context ctx n;
   if n = 0 then empty
   else begin
-    Po_obs.Metrics.incr m_solves;
-    let weights =
-      match weights with
-      | Some w ->
-          check_weights_n n w;
-          w
-      | None -> unit_weights n
+    let weights = resolve_weights n weights in
+    let cap =
+      find_level ?budget ~bracket ~tol ~nu
+        ~unconstrained:(unconstrained_soa soa) ~n (fun () ->
+          match ctx with Some c -> c | None -> context_soa ~weights soa)
     in
-    let unconstrained =
-      let acc = ref 0. in
-      for i = 0 to n - 1 do
-        acc := !acc +. Cp_soa.lambda_hat_per_capita soa i
-      done;
-      !acc
-    in
-    if nu >= unconstrained then begin
-      Po_obs.Metrics.incr m_uncongested;
-      of_cap_soa soa weights ~congested:false Float.infinity
-    end
-    else begin
-      let ctx =
-        match ctx with Some c -> c | None -> context_soa ~weights soa
-      in
-      let cap =
-        solve_congested ?budget ~thresholds:ctx.thresholds
-          ~aggregate:(fun ~cap -> aggregate_sorted ctx ~cap)
-          ~bracket ~tol ~nu ~n ()
-      in
-      of_cap_soa soa weights ~congested:true cap
-    end
+    of_cap_soa soa weights ~congested:(not (Float.equal cap Float.infinity)) cap
   end
 
 let solve_checked ?budget ?context ?bracket ?weights ?tol ~nu cps =

@@ -54,8 +54,13 @@ val empty : solution
 
 type context
 (** Presorted saturation thresholds and prefix-summed saturated
-    contributions for a fixed population and weight vector — the
-    per-solve setup work, reusable across solves over the same CPs. *)
+    contributions for a fixed member set and weight vector, with the
+    members' unconstrained rate [sum_i alpha_i theta_hat_i] — everything
+    a water-level search reads, reusable across solves over the same
+    CPs.  A context built by {!context} holds a whole array; a class
+    context ({!class_context}) is a buffer the size of its population
+    that {!refill} overwrites in place with the context of one member
+    set at a time. *)
 
 val context : ?weights:float array -> Cp.t array -> context
 (** Build the sorted-prefix context.  [weights] defaults to all ones and
@@ -68,23 +73,42 @@ val context_soa : ?weights:float array -> Cp_soa.t -> context
     [context cps] whenever [soa = Cp_soa.of_cps cps]. *)
 
 val prefix_table : context -> float array * float array
-(** [(thresholds, sat_prefix)]: the ascending saturation thresholds and
-    the prefix sums of the saturated contributions in that order — the
-    tables every aggregate evaluation reads, exposed for differential
-    tests. *)
+(** [(thresholds, sat_prefix)]: the ascending saturation thresholds of
+    the CPs held and the prefix sums of their saturated contributions in
+    that order — the tables every aggregate evaluation reads, copied out
+    for differential tests. *)
 
 type population
 (** A population sorted once by saturation threshold (unit weights),
-    from which the context of any member subset is obtained by
-    {!restrict} — an O(n) filter, no sort. *)
+    from which the context of any member subset is filled by {!refill}
+    — a filtered copy of the sorted columns, no sort (DESIGN.md §9). *)
 
 val population : Cp.t array -> population
 
-val restrict : population -> (int -> bool) -> context
-(** [restrict pop member] is the context of the CPs whose population
-    index satisfies [member], bit-identical to [context members] where
-    [members] lists them in population order: the restricted sort order
-    coincides with the members' own, ties included (DESIGN.md §9). *)
+val rank : population -> int -> int
+(** [rank pop i] is CP [i]'s position in the population's sort order by
+    (threshold, index): the unit in which {!refill}'s [from] counts. *)
+
+val class_context : population -> context
+(** A fresh class context for [pop]: room for every CP of the
+    population, holding no CP until {!refill} fills it. *)
+
+val refill :
+  population -> context -> bool array -> keep:bool -> from:int -> unit
+(** [refill pop ctx mask ~keep ~from] makes [ctx] — a {!class_context}
+    of [pop] — the context of the CPs [i] with [mask.(i) = keep], with
+    no allocation.  The result is bit-identical to [context members],
+    [members] listing those CPs in population order: restricting the
+    population's (threshold, index) order to a member set gives the
+    members' own order, ties included, and [sat_prefix] is refolded left
+    to right.
+
+    Only ranks [>= from] (see {!rank}) are recopied, so the cost is the
+    tail of the order past [from] plus one pass over [mask].  The caller
+    guarantees that [ctx] already holds the context of a member set that
+    agrees with the new one on every CP of rank [< from]; [from = 0]
+    always does.  Raises [Invalid_argument] when [mask] or [ctx] belongs
+    to a population of another size or demand layout. *)
 
 val solve :
   ?budget:Po_sup.Budget.t -> ?context:context -> ?bracket:float * float ->
@@ -120,18 +144,24 @@ val solve :
     solve's output. *)
 
 val level :
-  ?budget:Po_sup.Budget.t -> ?context:context -> ?bracket:float * float ->
-  ?weights:float array -> ?tol:float -> nu:float -> Cp.t array -> float
-(** The first half of {!solve}: the water level alone — [infinity] when
-    the system is uncongested or empty — with the same options, errors
-    and counters (one [equilibrium.solves] per non-empty call). *)
+  ?budget:Po_sup.Budget.t -> ?bracket:float * float -> ?tol:float ->
+  nu:float -> context -> float
+(** The first half of {!solve}, run on the context alone: the water
+    level of the context's CPs — [infinity] when the system is
+    uncongested or empty — with the same [budget], [bracket] and [tol]
+    semantics, errors and counters (one [equilibrium.solves] per
+    non-empty call).  The [nu >= unconstrained] test reads the
+    unconstrained rate the context carries, folded in population index
+    order exactly as {!solve} folds its CP array, so
+    [level ~nu (context cps)] is the cap of [solve ~nu cps] bit for
+    bit. *)
 
 val of_level : ?weights:float array -> Cp.t array -> float -> solution
 (** The second half of {!solve}: throughputs, demands, rates and the
     per-capita rate at a given water level, with no root search and no
-    counter.  [solve ~nu cps = of_level cps (level ~nu cps)], so a level
-    kept from an earlier {!level} call materialises the same bits as a
-    fresh solve. *)
+    counter.  [solve ~nu cps = of_level cps (level ~nu (context cps))],
+    so a level kept from an earlier {!level} call materialises the same
+    bits as a fresh solve. *)
 
 val solve_soa :
   ?budget:Po_sup.Budget.t -> ?context:context -> ?bracket:float * float ->

@@ -32,11 +32,13 @@ val bisect :
     point where [f] changes sign. *)
 
 val brent :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> lo:float -> hi:float ->
-  unit -> outcome
+  ?tol:float -> ?max_iter:int -> ?f_lo:float -> ?f_hi:float ->
+  f:(float -> float) -> lo:float -> hi:float -> unit -> outcome
 (** Brent's method (inverse quadratic interpolation + secant + bisection
     safeguard).  Same bracketing contract as {!bisect}; faster on smooth
-    functions. *)
+    functions.  [f_lo] and [f_hi] are [f lo] and [f hi] when the caller
+    has already evaluated them; each one given saves one evaluation and,
+    [f] being a function, changes no iterate. *)
 
 val secant :
   ?tol:float -> ?max_iter:int -> f:(float -> float) -> x0:float -> x1:float ->

@@ -74,9 +74,79 @@ let test_partition_move_functional () =
   Alcotest.(check int) "original untouched" 0 (Partition.premium_count p);
   Alcotest.(check bool) "moved" true (Partition.in_premium q 1)
 
+let key_of table p =
+  let key = Partition.Key.create table in
+  Partition.Key.set key p;
+  key
+
 let test_partition_key () =
+  (* The memo key of a partition is its Zobrist hash, the XOR of one
+     table word per premium CP, kept by one flip per single-CP move. *)
   let p = Partition.of_premium_indicator [| true; false |] in
-  Alcotest.(check string) "key" "PO" (Partition.key p)
+  let table = Partition.zobrist 2 in
+  Alcotest.(check (array bool)) "mask" [| true; false |] (Partition.mask p);
+  let key = key_of table p in
+  Alcotest.(check int) "key" table.(0) (Partition.Key.hash key);
+  Partition.Key.flip key 1;
+  let moved = Partition.move p 1 ~premium:true in
+  Alcotest.(check int) "key after a move" (table.(0) lxor table.(1))
+    (Partition.Key.hash key);
+  Alcotest.(check int) "flip = set" (Partition.Key.hash (key_of table moved))
+    (Partition.Key.hash key);
+  let memo = Partition.Table.create 4 in
+  Partition.Table.add memo key "moved";
+  Alcotest.(check (option string)) "found by a fresh key" (Some "moved")
+    (Partition.Table.find_opt memo (key_of table moved));
+  Alcotest.(check (array int)) "fixed seed" table (Partition.zobrist 2)
+
+(* Two distinct partitions with one Zobrist hash: the hash is linear
+   over GF(2), so among more table words than hash bits some subset XORs
+   to zero, and that subset as a premium class hashes like the
+   all-ordinary partition.  Gaussian elimination finds it. *)
+let zero_xor_subset table =
+  let n = Array.length table in
+  let basis = Array.make Sys.int_size None in
+  let rec reduce v comb bit =
+    if bit < 0 then Some comb
+    else if (v lsr bit) land 1 = 0 then reduce v comb (bit - 1)
+    else
+      match basis.(bit) with
+      | Some (bv, bcomb) ->
+          reduce (v lxor bv) (Array.map2 (fun a b -> a <> b) comb bcomb)
+            (bit - 1)
+      | None ->
+          basis.(bit) <- Some (v, comb);
+          None
+  in
+  let rec scan i =
+    if i >= n then Alcotest.fail "no dependent subset"
+    else
+      match
+        reduce table.(i) (Array.init n (fun j -> j = i)) (Sys.int_size - 1)
+      with
+      | Some comb -> comb
+      | None -> scan (i + 1)
+  in
+  scan 0
+
+let test_partition_table_collision () =
+  let n = 80 in
+  let table = Partition.zobrist n in
+  let a = Partition.of_premium_indicator (zero_xor_subset table) in
+  let b = Partition.all_ordinary n in
+  Alcotest.(check bool) "distinct partitions" false (Partition.equal a b);
+  Alcotest.(check int) "equal hashes"
+    (Partition.Key.hash (key_of table b))
+    (Partition.Key.hash (key_of table a));
+  let memo = Partition.Table.create 4 in
+  Partition.Table.add memo (key_of table a) "a";
+  Alcotest.(check (option string)) "b not confused with a" None
+    (Partition.Table.find_opt memo (key_of table b));
+  Partition.Table.add memo (key_of table b) "b";
+  Alcotest.(check (option string)) "a" (Some "a")
+    (Partition.Table.find_opt memo (key_of table a));
+  Alcotest.(check (option string)) "b" (Some "b")
+    (Partition.Table.find_opt memo (key_of table b))
 
 let test_partition_immutability_from_source () =
   let src = [| true; false |] in
@@ -388,6 +458,7 @@ let () =
           quick "members preserve order" test_partition_members_preserve_order;
           quick "move functional" test_partition_move_functional;
           quick "key" test_partition_key;
+          quick "hash collisions kept apart" test_partition_table_collision;
           quick "copies source" test_partition_immutability_from_source ] );
       ( "cp_game degenerate",
         [ quick "kappa=0" test_game_kappa0_all_ordinary;

@@ -159,6 +159,48 @@ let test_solver_site () =
       | Error e -> Alcotest.failf "wrong error: %s" (Po_error.to_string e)
       | Ok _ -> Alcotest.fail "armed solver site did not fire")
 
+(* The same site inside a CP game: a class re-solve runs on a class
+   context refilled in place, and its injected failure must still reach
+   the caller typed, with the equilibrium's frames and the class size. *)
+let test_solver_site_in_class_resolve () =
+  with_disarm (fun () ->
+      let module Cp_game = Po_core.Cp_game in
+      let cps = Po_workload.Ensemble.paper_ensemble ~n:30 ~seed:3 () in
+      let nu = 0.3 *. Po_workload.Ensemble.saturation_nu cps in
+      let kappa = 0.8 and c = 0.5 in
+      let strategy = Po_core.Strategy.make ~kappa ~c in
+      (match Cp_game.solve_checked ~nu ~strategy cps with
+      | Ok _ -> ()
+      | Error e ->
+          Alcotest.failf "disarmed game failed: %s" (Po_error.to_string e));
+      (* The game starts from the affordable set {i : v_i > c}; its first
+         guarded solve is the ordinary class's re-solve there, congested
+         at this capacity. *)
+      let ordinary =
+        Array.of_list
+          (List.filter
+             (fun (cp : Po_model.Cp.t) -> not (cp.Po_model.Cp.v > c))
+             (Array.to_list cps))
+      in
+      let nu_o = (1. -. kappa) *. nu in
+      Alcotest.(check bool)
+        "ordinary class congested at the start" true
+        (nu_o
+        < Array.fold_left
+            (fun acc cp -> acc +. Po_model.Cp.lambda_hat_per_capita cp)
+            0. ordinary);
+      Faultinject.arm (spec ~solver:1 ());
+      match Cp_game.solve_checked ~nu ~strategy cps with
+      | Error { kind = Po_error.Non_convergence _; context } ->
+          Alcotest.(check (list (pair string string)))
+            "equilibrium frames"
+            [ ("injected", "solver"); ("solver", "equilibrium");
+              ("nu", Printf.sprintf "%.17g" nu_o);
+              ("cps", string_of_int (Array.length ordinary)) ]
+            context
+      | Error e -> Alcotest.failf "wrong error: %s" (Po_error.to_string e)
+      | Ok _ -> Alcotest.fail "armed solver site did not fire")
+
 (* ------------------------------------------------------------------ *)
 (* Hardened pool                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -496,7 +538,9 @@ let () =
         [ quick "spec parse" test_spec_parse;
           quick "spec round trip" test_spec_roundtrip;
           quick "fire semantics" test_fire_counters;
-          quick "solver site" test_solver_site ] );
+          quick "solver site" test_solver_site;
+          quick "solver site in a class re-solve"
+            test_solver_site_in_class_resolve ] );
       ( "pool",
         [ quick "injected worker crash" test_injected_worker_crash;
           quick "typed error passthrough" test_typed_error_passthrough;

@@ -197,12 +197,38 @@ let members_of mask cps =
   Array.of_list
     (List.filteri (fun i _ -> mask.(i)) (Array.to_list cps))
 
+let unconstrained_of members =
+  Array.fold_left (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp) 0. members
+
+(* A class context refilled from [from] against a fresh sort of the
+   members: both tables and the level at several capacities. *)
+let check_refilled name ctx mask ~keep cps ~nus =
+  let members = members_of (Array.map (Bool.equal keep) mask) cps in
+  let fresh = Equilibrium.context members in
+  let thresholds, sat_prefix = Equilibrium.prefix_table ctx in
+  let thresholds', sat_prefix' = Equilibrium.prefix_table fresh in
+  check_bits_array (name ^ " thresholds") thresholds thresholds';
+  check_bits_array (name ^ " sat_prefix") sat_prefix sat_prefix';
+  let unconstrained = unconstrained_of members in
+  List.iter
+    (fun frac ->
+      let nu = frac *. unconstrained in
+      let label = Printf.sprintf "%s nu=%g" name nu in
+      check_bits (label ^ " level")
+        (Equilibrium.level ~nu ctx)
+        (Equilibrium.level ~nu fresh);
+      check_bits (label ^ " cap of solve")
+        (Equilibrium.level ~nu ctx)
+        (Equilibrium.solve ~nu members).Equilibrium.cap)
+    nus
+
 let test_restricted_context () =
   let rng = Po_prng.Splitmix.of_int 41 in
   List.iter
     (fun (mixed, n) ->
       let cps = random_population ~mixed rng n in
       let pop = Equilibrium.population cps in
+      let ctx = Equilibrium.class_context pop in
       let masks =
         [ ("random", Array.init n (fun _ -> Po_prng.Splitmix.bool rng));
           ("empty", Array.make n false);
@@ -213,27 +239,62 @@ let test_restricted_context () =
         (fun (label, mask) ->
           let name = Printf.sprintf "mixed=%b n=%d %s" mixed n label in
           let members = members_of mask cps in
-          let restricted = Equilibrium.restrict pop (Array.get mask) in
+          Equilibrium.refill pop ctx mask ~keep:true ~from:0;
+          check_refilled name ctx mask ~keep:true cps
+            ~nus:[ 0.; 0.05; 0.3; 0.7; 0.99; 1.5 ];
           let fresh = Equilibrium.context members in
-          let thresholds, sat_prefix = Equilibrium.prefix_table restricted in
-          let thresholds', sat_prefix' = Equilibrium.prefix_table fresh in
-          check_bits_array (name ^ " thresholds") thresholds thresholds';
-          check_bits_array (name ^ " sat_prefix") sat_prefix sat_prefix';
-          let unconstrained =
-            Array.fold_left
-              (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp)
-              0. members
-          in
           List.iter
             (fun frac ->
-              let nu = frac *. unconstrained in
+              let nu = frac *. unconstrained_of members in
               check_solution
                 (Printf.sprintf "%s nu=%g" name nu)
-                (Equilibrium.solve ~context:restricted ~nu members)
+                (Equilibrium.solve ~context:ctx ~nu members)
                 (Equilibrium.solve ~context:fresh ~nu members))
-            [ 0.; 0.05; 0.3; 0.7; 0.99; 1.5 ])
+            [ 0.; 0.3; 0.99 ])
         masks)
     [ (false, 40); (true, 40); (false, 7); (true, 13); (true, 1) ]
+
+(* The CP game's use of class contexts at scale: random single-CP moves,
+   each class refilled only now and then (a memo hit skips the refill)
+   from the lowest rank moved since its last refill, interleaved with
+   whole-partition jumps that restart from rank 0.  After every refill
+   both classes must match a fresh sort of their members bit for bit. *)
+let test_move_sequence () =
+  let n = 1000 in
+  let rng = Po_prng.Splitmix.of_int 43 in
+  List.iter
+    (fun mixed ->
+      let cps = random_population ~mixed rng n in
+      let pop = Equilibrium.population cps in
+      let ctx_o = Equilibrium.class_context pop in
+      let ctx_p = Equilibrium.class_context pop in
+      let mask = Array.init n (fun _ -> Po_prng.Splitmix.bool rng) in
+      let dirty_o = ref 0 and dirty_p = ref 0 in
+      for step = 1 to 120 do
+        let r = Po_prng.Splitmix.int rng 20 in
+        if r = 0 then begin
+          Array.iteri (fun i _ -> mask.(i) <- Po_prng.Splitmix.bool rng) mask;
+          dirty_o := 0;
+          dirty_p := 0
+        end
+        else begin
+          let i = Po_prng.Splitmix.int rng n in
+          mask.(i) <- not mask.(i);
+          let rank = Equilibrium.rank pop i in
+          dirty_o := min !dirty_o rank;
+          dirty_p := min !dirty_p rank
+        end;
+        if r mod 3 = 0 then
+          List.iter
+            (fun (keep, ctx, dirty) ->
+              Equilibrium.refill pop ctx mask ~keep ~from:!dirty;
+              dirty := n;
+              check_refilled
+                (Printf.sprintf "mixed=%b step=%d premium=%b" mixed step keep)
+                ctx mask ~keep cps ~nus:[ 0.2; 0.8 ])
+            [ (false, ctx_o, dirty_o); (true, ctx_p, dirty_p) ]
+      done)
+    [ false; true ]
 
 let test_context_size_checked () =
   let cps = ensemble ~n:20 37 in
@@ -258,10 +319,10 @@ let test_context_size_checked () =
 (* ------------------------------------------------------------------ *)
 
 let check_outcome name (a : Cp_game.outcome) (b : Cp_game.outcome) =
-  Alcotest.(check string)
+  Alcotest.(check (array bool))
     (name ^ " partition")
-    (Partition.key a.Cp_game.partition)
-    (Partition.key b.Cp_game.partition);
+    (Partition.mask a.Cp_game.partition)
+    (Partition.mask b.Cp_game.partition);
   check_bits_array (name ^ " theta") a.Cp_game.theta b.Cp_game.theta;
   check_bits_array (name ^ " rho") a.Cp_game.rho b.Cp_game.rho;
   check_bits (name ^ " cap_o") a.Cp_game.cap_ordinary b.Cp_game.cap_ordinary;
@@ -370,6 +431,27 @@ let with_metrics f =
   Po_obs.Metrics.reset ();
   Po_obs.Metrics.arm ();
   Fun.protect ~finally:Po_obs.Metrics.disarm f
+
+let test_game_differential_large () =
+  (* At n = 1000 the asynchronous passes make long runs of single-CP
+     moves, and each class re-solve refills its context from the lowest
+     rank moved since the last refill. *)
+  let cps = ensemble ~n:1000 5 in
+  let sat = Po_workload.Ensemble.saturation_nu cps in
+  List.iter
+    (fun (kappa, c, nu_frac) ->
+      let strategy = Strategy.make ~kappa ~c in
+      let nu = nu_frac *. sat in
+      let name = Printf.sprintf "n=1000 (%g,%g,nu=%g)" kappa c nu in
+      let optimized, moves =
+        with_metrics (fun () ->
+            let o = Cp_game.solve ~nu ~strategy cps in
+            (o, List.assoc_opt "cp_game.moves" (Po_obs.Metrics.counters ())))
+      in
+      Alcotest.(check bool) (name ^ " moved CPs one at a time") true
+        (Option.value ~default:0 moves > 0);
+      check_outcome name optimized (Cp_game.solve_reference ~nu ~strategy cps))
+    [ (0.5, 0.3, 0.2); (0.3, 0.6, 0.5) ]
 
 let test_prepared_population_shared () =
   (* Every game of one best response runs on the same array, so the
@@ -590,11 +672,13 @@ let () =
           quick "threshold ties" test_eq_threshold_ties;
           quick "empty and zero capacity" test_eq_empty_and_zero;
           quick "restricted contexts bit-identical" test_restricted_context;
+          quick "class contexts along a move sequence" test_move_sequence;
           quick "context size checked" test_context_size_checked ] );
       ( "cp_game",
         [ quick "random ensembles bit-identical" test_game_differential;
           quick "small populations bit-identical"
             test_game_differential_small;
+          quick "1000 CPs bit-identical" test_game_differential_large;
           quick "nash solver bit-identical" test_game_nash_differential;
           quick "repeated CP ids" test_game_repeated_ids;
           quick "zero capacity" test_game_zero_capacity;
